@@ -11,6 +11,7 @@ import (
 	"dinfomap/internal/analysis/codecsym"
 	"dinfomap/internal/analysis/floateq"
 	"dinfomap/internal/analysis/maporder"
+	"dinfomap/internal/analysis/modlit"
 	"dinfomap/internal/analysis/rankshare"
 	"dinfomap/internal/analysis/seededrand"
 )
@@ -27,5 +28,6 @@ func Analyzers() []*analysis.Analyzer {
 		bufalias.Analyzer,
 		anysource.Analyzer,
 		codecsym.Analyzer,
+		modlit.Analyzer,
 	}
 }

@@ -8,8 +8,9 @@
 // its line whose message matches the regexp; diagnostics on lines
 // without a want comment are errors, as are unmatched wants. Testdata
 // packages live under <dir>/src/<pkg> and may import the standard
-// library only (imports resolve through `go list -export`, which
-// works offline against the build cache).
+// library and packages of this module, never each other (imports
+// resolve through `go list -export`, which works offline against the
+// build cache).
 package analysistest
 
 import (

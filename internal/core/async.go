@@ -622,11 +622,7 @@ func (as *asyncState) materialize() {
 		if as.members[m] == 0 {
 			continue
 		}
-		mod := mapeq.Module{
-			SumPr:   as.sumPr[m],
-			ExitPr:  as.exit[m],
-			Members: int(as.members[m]),
-		}
+		mod := mapeq.NewModule(as.sumPr[m], as.exit[m], int(as.members[m]))
 		lv.mods[m] = mod
 		lv.trackMod(m)
 		if ownerOf(m, lv.p) == lv.rank {

@@ -132,9 +132,8 @@ func (lv *level) broadcastDelegates(cands []hubCandidate) int {
 		}
 		for d.Remaining() > 0 {
 			h := d.Int()
-			ds.target[lv.hubIndex[h]] = mapeq.Module{
-				SumPr: d.F64(), ExitPr: d.F64(), Members: d.Int(),
-			}
+			sumPr, exitPr := d.F64(), d.F64()
+			ds.target[lv.hubIndex[h]] = mapeq.NewModule(sumPr, exitPr, d.Int())
 		}
 	}
 	// All ranks now evaluate identical inputs: the refresh-time snapshot
@@ -148,14 +147,9 @@ func (lv *level) broadcastDelegates(cands []hubCandidate) int {
 		if from == hc.Target {
 			continue
 		}
-		mv := mapeq.Move{
-			PU:      lv.visit[h],
-			ExitU:   lv.exitP[h],
-			WToFrom: ds.sumFrom[i],
-			WToTo:   ds.sumTo[i],
-		}
-		dl := mapeq.DeltaL(lv.refAgg, lv.hubFrom[pos], ds.target[pos], mv)
-		if dl < -1e-15 {
+		pr := mapeq.Prepare(lv.refAgg, lv.hubFrom[pos],
+			mapeq.Move{PU: lv.visit[h], ExitU: lv.exitP[h], WToFrom: ds.sumFrom[i]})
+		if pr.Delta(ds.target[pos], ds.sumTo[i]) < -1e-15 {
 			lv.comm[h] = hc.Target
 			moves++
 		}
@@ -364,25 +358,23 @@ func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
 			}
 		}
 	}
-	// Detect stat changes and count live modules, walking owned slots
-	// ascending (= sorted module-id order). Versions are monotone
-	// across the level's lifetime: a module that vanishes and reappears
-	// must NOT restart at an old version number, or a subscriber whose
-	// sentVersion matches the recycled number would keep stale
-	// statistics after an isSent short-form response.
+	// Detect stat changes, store the new owner-side statistics, and
+	// count live modules, walking owned slots ascending (= sorted
+	// module-id order). Versions are monotone across the level's
+	// lifetime: a module that vanishes and reappears must NOT restart
+	// at an old version number, or a subscriber whose sentVersion
+	// matches the recycled number would keep stale statistics after an
+	// isSent short-form response.
 	slots := len(rs.oStamp)
 	for slot := 0; slot < slots; slot++ {
 		if rs.oStamp[slot] != round {
 			continue
 		}
-		mod := mapeq.Module{
-			SumPr:   rs.oSumPr[slot],
-			ExitPr:  rs.oExit[slot],
-			Members: int(rs.oMembers[slot]),
-		}
+		mod := mapeq.NewModule(rs.oSumPr[slot], rs.oExit[slot], int(rs.oMembers[slot]))
 		if !lv.ownedHas[slot] || lv.ownedStats[slot] != mod {
 			lv.modVersion[slot]++
 		}
+		lv.ownedStats[slot] = mod
 		if mod.Members > 0 {
 			numModules++
 		}
@@ -422,12 +414,7 @@ func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
 			continue
 		}
 		m := lv.rank + slot*lv.p
-		mod := mapeq.Module{
-			SumPr:   rs.oSumPr[slot],
-			ExitPr:  rs.oExit[slot],
-			Members: int(rs.oMembers[slot]),
-		}
-		lv.ownedStats[slot] = mod
+		mod := lv.ownedStats[slot]
 		lv.ownedHas[slot] = true
 		rs.newOwned = append(rs.newOwned, int32(slot))
 		for _, dstRank := range rs.oSubs[slot] {
@@ -475,11 +462,7 @@ func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
 				}
 				mod = lv.delivered[mi.ModID]
 			} else {
-				mod = mapeq.Module{
-					SumPr:   mi.SumPr,
-					ExitPr:  mi.ExitPr,
-					Members: mi.NumMembers,
-				}
+				mod = mapeq.NewModule(mi.SumPr, mi.ExitPr, mi.NumMembers)
 				lv.delivered[mi.ModID] = mod
 				lv.deliveredOk[mi.ModID] = true
 			}
@@ -498,9 +481,10 @@ func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
 		if mod.Members == 0 {
 			continue
 		}
-		part[0] += mod.ExitPr
-		part[1] += mapeq.PlogP(mod.ExitPr)
-		part[2] += mapeq.PlogP(mod.ExitPr + mod.SumPr)
+		q, plogQ, plogQP := mod.Terms()
+		part[0] += q
+		part[1] += plogQ
+		part[2] += plogQP
 	}
 	part[3] = float64(numModules)
 	lv.c.SetKind(mpi.KindCollective)

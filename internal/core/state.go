@@ -240,7 +240,7 @@ func (lv *level) initLocalState() {
 	lv.modTracked = make([]bool, n)
 	lv.modList = make([]int, 0, len(lv.visList))
 	for _, v := range lv.visList {
-		lv.mods[v] = mapeq.Module{SumPr: lv.visit[v], ExitPr: lv.exitP[v], Members: 1}
+		lv.mods[v] = mapeq.NewModule(lv.visit[v], lv.exitP[v], 1)
 		lv.modList = append(lv.modList, v)
 		lv.modTracked[v] = true
 	}

@@ -11,6 +11,9 @@ type sweepScratch struct {
 	touched []int
 	order   []int // permutation over evalVerts indices
 	cands   []hubCandidate
+	// prep is the delta-L kernel prepared by the latest bestTarget for
+	// moving its vertex out of its current module.
+	prep mapeq.Prepared
 }
 
 func (lv *level) newScratch() *sweepScratch {
@@ -111,7 +114,8 @@ func (lv *level) sweep(s *sweepScratch, budget int) (moves, deferred int, hubCan
 }
 
 // bestTarget evaluates all neighbor modules of eval vertex index i
-// (vertex u) and returns the best move, if any improves.
+// (vertex u) and returns the best move, if any improves. It leaves the
+// kernel prepared for u in s.prep.
 func (lv *level) bestTarget(s *sweepScratch, i, u int) (target int, delta float64, ok bool) {
 	from := lv.comm[u]
 	s.touched = s.touched[:0]
@@ -131,20 +135,19 @@ func (lv *level) bestTarget(s *sweepScratch, i, u int) (target int, delta float6
 			s.remote[cv] = true
 		}
 	}
+	s.prep = mapeq.Prepare(lv.agg, lv.mods[from],
+		mapeq.Move{PU: lv.visit[u], ExitU: lv.exitP[u], WToFrom: s.wTo[from]})
 	if len(s.touched) == 0 {
 		return 0, 0, false
 	}
-	mv := mapeq.Move{PU: lv.visit[u], ExitU: lv.exitP[u], WToFrom: s.wTo[from]}
 	best := 0.0
 	bestC := from
-	fromMod := lv.mods[from]
 	for _, cv := range s.touched {
 		if cv == from {
 			continue
 		}
-		mv.WToTo = s.wTo[cv]
 		lv.deltaEvals++
-		if d := mapeq.DeltaL(lv.agg, fromMod, lv.mods[cv], mv); d < best-1e-15 {
+		if d := s.prep.Delta(lv.mods[cv], s.wTo[cv]); d < best-1e-15 {
 			best = d
 			bestC = cv
 		}
@@ -175,14 +178,8 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	from := lv.comm[u]
 	escape := false
 	if from != u && lv.ownedStats[u/lv.p].Members == 0 && lv.mods[u].Members == 0 {
-		mv := mapeq.Move{
-			PU:      lv.visit[u],
-			ExitU:   lv.exitP[u],
-			WToFrom: s.wTo[from],
-			WToTo:   0,
-		}
 		lv.deltaEvals++
-		if d := mapeq.DeltaL(lv.agg, lv.mods[from], mapeq.Module{}, mv); d < bestDelta-1e-15 {
+		if d := s.prep.Delta(mapeq.Module{}, 0); d < bestDelta-1e-15 {
 			bestC = u
 			ok = true
 			escape = true

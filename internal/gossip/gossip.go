@@ -266,7 +266,10 @@ func propagate(g *graph.Graph, cfg Config, salt uint64) ([]int, time.Duration) {
 	return final, cfg.CostModel.StepTime(costs)
 }
 
-// exactL evaluates the two-level map equation of comm on g.
+// exactL evaluates the two-level map equation of comm on g. Its
+// modules are built by += and carry no cached log terms; that is safe
+// because AggregateModules reads only the statistics, and the modules
+// never reach the delta-L kernel.
 func exactL(g *graph.Graph, comm []int) float64 {
 	flow := mapeq.NewVertexFlow(g)
 	dense, k := graph.Renumber(comm)

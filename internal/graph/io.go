@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -58,6 +59,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			}
 			if w <= 0 {
 				return nil, fmt.Errorf("graph: line %d: non-positive weight %v", lineno, w)
+			}
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				return nil, fmt.Errorf("graph: line %d: non-finite weight %v", lineno, w)
 			}
 		}
 		b.AddWeightedEdge(u, v, w)
@@ -134,7 +138,11 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads a graph written by WriteBinary.
+// ReadBinary reads a graph written by WriteBinary. Malformed input
+// returns an error: the offset table must start at 0, never decrease,
+// and end at the arc count before any arc is read through it, and the
+// arrays grow only as their bytes arrive, so a header that overstates
+// its sizes fails at end of input instead of allocating them up front.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var magic, n, arcs uint64
@@ -146,12 +154,23 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if magic != binMagic {
 		return nil, fmt.Errorf("graph: bad magic %#x", magic)
 	}
-	off := make([]uint64, n+1)
-	if err := binary.Read(br, binary.LittleEndian, off); err != nil {
+	if n >= math.MaxInt || arcs > math.MaxInt {
+		return nil, fmt.Errorf("graph: header sizes out of range: %d vertices, %d arcs", n, arcs)
+	}
+	off, err := readU64s(br, n+1)
+	if err != nil {
 		return nil, fmt.Errorf("graph: offsets: %v", err)
 	}
-	t64 := make([]uint64, arcs)
-	if err := binary.Read(br, binary.LittleEndian, t64); err != nil {
+	if off[0] != 0 || off[n] != arcs {
+		return nil, fmt.Errorf("graph: offsets span [%d, %d], want [0, %d]", off[0], off[n], arcs)
+	}
+	for u := uint64(0); u < n; u++ {
+		if off[u] > off[u+1] {
+			return nil, fmt.Errorf("graph: offsets decrease at vertex %d", u)
+		}
+	}
+	t64, err := readU64s(br, arcs)
+	if err != nil {
 		return nil, fmt.Errorf("graph: targets: %v", err)
 	}
 	var weighted uint64
@@ -169,9 +188,13 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		g.targets[i] = int(t)
 	}
 	if weighted == 1 {
-		g.weights = make([]float64, arcs)
-		if err := binary.Read(br, binary.LittleEndian, g.weights); err != nil {
+		w64, err := readU64s(br, arcs)
+		if err != nil {
 			return nil, fmt.Errorf("graph: weights: %v", err)
+		}
+		g.weights = make([]float64, arcs)
+		for i, w := range w64 {
+			g.weights[i] = math.Float64frombits(w)
 		}
 	}
 	// Recompute derived counters.
@@ -187,4 +210,27 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph: binary payload invalid: %v", err)
 	}
 	return g, nil
+}
+
+// readU64s reads count little-endian uint64 values. The result grows as
+// bytes arrive, so memory stays proportional to the input actually read
+// whatever count claims.
+func readU64s(r io.Reader, count uint64) ([]uint64, error) {
+	var buf [8 << 10]byte
+	var out []uint64
+	for count > 0 {
+		k := uint64(len(buf) / 8)
+		if count < k {
+			k = count
+		}
+		b := buf[:8*k]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(b); i += 8 {
+			out = append(out, binary.LittleEndian.Uint64(b[i:]))
+		}
+		count -= k
+	}
+	return out, nil
 }

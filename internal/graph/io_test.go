@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -54,6 +56,24 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
+// Non-finite weights parse as floats but are not valid edge weights;
+// ReadEdgeList must reject them with the offending line number instead
+// of letting Builder.AddWeightedEdge panic.
+func TestReadEdgeListNonFiniteWeights(t *testing.T) {
+	for _, w := range []string{"NaN", "+Inf", "-Inf"} {
+		t.Run(w, func(t *testing.T) {
+			in := "0 1\n1 2 " + w + "\n"
+			_, err := ReadEdgeList(strings.NewReader(in))
+			if err == nil {
+				t.Fatalf("ReadEdgeList(%q) succeeded, want error", in)
+			}
+			if !strings.Contains(err.Error(), "line 2") {
+				t.Errorf("error %q does not name line 2", err)
+			}
+		})
+	}
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}})
 	var buf bytes.Buffer
@@ -94,6 +114,70 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
 		t.Fatal("ReadBinary accepted empty input")
+	}
+}
+
+// binaryOf returns the WriteBinary encoding of a 4-vertex path with
+// its header words and offset table decoded for tampering: words[0:3]
+// are magic, n and arcs, words[3:3+n+1] the offsets.
+func binaryOf(t *testing.T) []uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, FromEdges(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})); err != nil {
+		t.Fatal(err)
+	}
+	words := make([]uint64, buf.Len()/8)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(buf.Bytes()[8*i:])
+	}
+	return words
+}
+
+func encodeWords(words []uint64) []byte {
+	b := make([]byte, 8*len(words))
+	for i, w := range words {
+		binary.LittleEndian.PutUint64(b[8*i:], w)
+	}
+	return b
+}
+
+// A corrupt offset table used to index past the arc array in the
+// edge-count loop, which runs before Validate; it must be an error.
+func TestReadBinaryRejectsBadOffsets(t *testing.T) {
+	const off = 3 // first offset word
+	cases := map[string]func(w []uint64){
+		"non-monotone":      func(w []uint64) { w[off+1], w[off+2] = w[off+2], w[off+1] },
+		"interior past end": func(w []uint64) { w[off+2] = 1000 },
+		"end past arcs":     func(w []uint64) { w[off+4] = w[2] + 4 },
+		"end short of arcs": func(w []uint64) { w[off+4] = w[2] - 1 },
+		"nonzero start":     func(w []uint64) { w[off] = 1 },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			words := binaryOf(t)
+			if _, err := ReadBinary(bytes.NewReader(encodeWords(words))); err != nil {
+				t.Fatalf("untampered input rejected: %v", err)
+			}
+			corrupt(words)
+			if _, err := ReadBinary(bytes.NewReader(encodeWords(words))); err == nil {
+				t.Fatal("ReadBinary accepted a corrupt offset table")
+			}
+		})
+	}
+}
+
+// A bare 24-byte header claiming huge sizes must fail at end of input,
+// not allocate the claimed arrays (2^40 offsets would be 8 TiB).
+func TestReadBinaryOversizedHeader(t *testing.T) {
+	for _, hdr := range [][3]uint64{
+		{binMagic, 1 << 40, 0},
+		{binMagic, 3, 1 << 40},
+		{binMagic, math.MaxUint64, 0},
+		{binMagic, 0, math.MaxUint64},
+	} {
+		if _, err := ReadBinary(bytes.NewReader(encodeWords(hdr[:]))); err == nil {
+			t.Errorf("header %v: ReadBinary succeeded, want error", hdr[1:])
+		}
 	}
 }
 

@@ -154,7 +154,7 @@ func optimizeLevel(g *graph.Graph, rng *gen.RNG, maxSweeps int, vertexTerm float
 	inv2W := flow.Norm()
 	for u := 0; u < n; u++ {
 		comm[u] = u
-		mods[u] = mapeq.Module{SumPr: flow.P[u], ExitPr: flow.Exit[u], Members: 1}
+		mods[u] = mapeq.NewModule(flow.P[u], flow.Exit[u], 1)
 	}
 	agg := mapeq.AggregateModules(mods, vertexTerm)
 	out := &optResult{assignment: comm, initialL: agg.L()}
@@ -185,15 +185,15 @@ func optimizeLevel(g *graph.Graph, rng *gen.RNG, maxSweeps int, vertexTerm float
 				continue
 			}
 			mv := mapeq.Move{PU: flow.P[u], ExitU: flow.Exit[u], WToFrom: wTo[from]}
+			pr := mapeq.Prepare(agg, mods[from], mv)
 			best := 0.0
 			bestC := from
 			for _, c := range touched {
 				if c == from {
 					continue
 				}
-				mv.WToTo = wTo[c]
 				out.deltaEvals++
-				if d := mapeq.DeltaL(agg, mods[from], mods[c], mv); d < best-1e-15 {
+				if d := pr.Delta(mods[c], wTo[c]); d < best-1e-15 {
 					best = d
 					bestC = c
 				}
@@ -224,6 +224,9 @@ func optimizeLevel(g *graph.Graph, rng *gen.RNG, maxSweeps int, vertexTerm float
 
 // recomputeL computes L(M) from scratch for the given assignment.
 // vertexTerm is the constant sum plogp(p_alpha) of the original graph.
+// Its modules are built by += and carry no cached log terms; that is
+// safe because AggregateModules reads only the statistics, and the
+// modules never reach the delta-L kernel.
 func recomputeL(g *graph.Graph, flow *mapeq.VertexFlow, comm []int, vertexTerm float64) float64 {
 	dense, k := graph.Renumber(comm)
 	mods := make([]mapeq.Module, k)

@@ -116,11 +116,36 @@ func (f *VertexFlow) Norm() float64 {
 // Module is the statistics of one module needed by the map equation:
 // exactly the payload of the paper's Module_Info message (List 1) minus
 // bookkeeping flags.
+//
+// A Module also caches its two Eq. 3 log terms, so the delta-L kernel
+// reads them instead of recomputing them per candidate. Build modules
+// with NewModule (or take them from ApplyMove): a literal with fields
+// carries a zero cache and silently yields a wrong delta-L. The zero
+// Module is exact, since PlogP(0) = 0. The cache never goes on the wire.
 type Module struct {
 	SumPr   float64 // sum of visit probabilities of members
 	ExitPr  float64 // exit probability q_m (normalized cut weight)
 	Members int     // number of member vertices
+
+	plogQ  float64 // PlogP(ExitPr)
+	plogQP float64 // PlogP(ExitPr + SumPr)
 }
+
+// NewModule returns the module with the given statistics and its log
+// terms cached.
+func NewModule(sumPr, exitPr float64, members int) Module {
+	return Module{
+		SumPr:   sumPr,
+		ExitPr:  exitPr,
+		Members: members,
+		plogQ:   PlogP(exitPr),
+		plogQP:  PlogP(exitPr + sumPr),
+	}
+}
+
+// Terms returns the module's contributions to the three module sums of
+// Eq. 3: q, plogp(q) and plogp(q+p), the last two read from the cache.
+func (m Module) Terms() (q, plogQ, plogQP float64) { return m.ExitPr, m.plogQ, m.plogQP }
 
 // Empty reports whether the module has no members.
 func (m Module) Empty() bool { return m.Members == 0 }
@@ -145,6 +170,8 @@ func (a Aggregates) L() float64 {
 
 // AggregateModules builds Aggregates from a module table. sumPlogpP is
 // the constant vertex term (VertexFlow.SumPlogpP for the current level).
+// It reads only the statistics, never the cached log terms, so it also
+// accepts modules accumulated field by field.
 func AggregateModules(mods []Module, sumPlogpP float64) Aggregates {
 	a := Aggregates{SumPlogpP: sumPlogpP}
 	for _, m := range mods {
@@ -169,57 +196,76 @@ type Move struct {
 	WToTo   float64 // normalized links u <-> To
 }
 
-// after returns the updated (from, to, aggregates) after applying mv to
-// a vertex currently in from.
-func after(a Aggregates, from, to Module, mv Move) (Aggregates, Module, Module) {
-	// New exit probabilities (see DESIGN.md for the derivation):
-	// removing u turns its internal links into exiting ones and removes
-	// its external links from the cut; adding u does the reverse.
-	newFrom := Module{
-		SumPr:   from.SumPr - mv.PU,
-		ExitPr:  from.ExitPr - mv.ExitU + 2*mv.WToFrom,
-		Members: from.Members - 1,
-	}
-	newTo := Module{
-		SumPr:   to.SumPr + mv.PU,
-		ExitPr:  to.ExitPr + mv.ExitU - 2*mv.WToTo,
-		Members: to.Members + 1,
-	}
-	if newFrom.Members == 0 {
+// leave returns from after the vertex of mv has left it. Removing u
+// turns its internal links into exiting ones and removes its external
+// links from the cut (see DESIGN.md for the derivation).
+func leave(from Module, mv Move) Module {
+	members := from.Members - 1
+	if members == 0 {
 		// Empty modules carry no flow; clamp numerical residue.
-		newFrom.SumPr = 0
-		newFrom.ExitPr = 0
+		return Module{}
 	}
-	clampModule(&newFrom)
-	clampModule(&newTo)
-	a.QTotal += newFrom.ExitPr + newTo.ExitPr - from.ExitPr - to.ExitPr
+	return NewModule(clamp(from.SumPr-mv.PU), clamp(from.ExitPr-mv.ExitU+2*mv.WToFrom), members)
+}
+
+// enter returns to after a vertex with visit probability pu, singleton
+// exit exitU and normalized link weight wToTo into to has joined it.
+func enter(to Module, pu, exitU, wToTo float64) Module {
+	return NewModule(clamp(to.SumPr+pu), clamp(to.ExitPr+exitU-2*wToTo), to.Members+1)
+}
+
+// clamp zeroes tiny negative residue of flow subtractions.
+func clamp(x float64) float64 {
+	if x < 0 && x > -1e-12 {
+		return 0
+	}
+	return x
+}
+
+// step returns the aggregates after from and to were replaced by nf and
+// nt. Each sum is evaluated left to right as ((new from + new to) - old
+// from) - old to, reading the cached log terms: bit for bit the value
+// of computing all eight terms afresh in that order (see DESIGN.md).
+func step(a Aggregates, from, nf, to, nt Module) Aggregates {
+	a.QTotal += nf.ExitPr + nt.ExitPr - from.ExitPr - to.ExitPr
 	if a.QTotal < 0 {
 		a.QTotal = 0
 	}
-	a.SumQLogQ += PlogP(newFrom.ExitPr) + PlogP(newTo.ExitPr) -
-		PlogP(from.ExitPr) - PlogP(to.ExitPr)
-	a.SumQPLogQP += PlogP(newFrom.ExitPr+newFrom.SumPr) + PlogP(newTo.ExitPr+newTo.SumPr) -
-		PlogP(from.ExitPr+from.SumPr) - PlogP(to.ExitPr+to.SumPr)
-	return a, newFrom, newTo
+	a.SumQLogQ += nf.plogQ + nt.plogQ - from.plogQ - to.plogQ
+	a.SumQPLogQP += nf.plogQP + nt.plogQP - from.plogQP - to.plogQP
+	return a
 }
 
-func clampModule(m *Module) {
-	if m.ExitPr < 0 && m.ExitPr > -1e-12 {
-		m.ExitPr = 0
-	}
-	if m.SumPr < 0 && m.SumPr > -1e-12 {
-		m.SumPr = 0
-	}
+// Prepared is the candidate-invariant part of the delta-L of moving one
+// vertex out of its module: the current codelength and the module it
+// leaves behind, both computed once per vertex. Delta then evaluates
+// each candidate target with three logarithms.
+type Prepared struct {
+	agg       Aggregates
+	from, nf  Module // the vertex's module, before and after it leaves
+	pu, exitU float64
+	l0        float64 // agg.L()
 }
 
-// DeltaL returns the codelength change (bits) of applying mv to a vertex
-// currently in from, moving it to to. Negative is an improvement.
-func DeltaL(a Aggregates, from, to Module, mv Move) float64 {
-	na, _, _ := after(a, from, to, mv)
-	return na.L() - a.L()
+// Prepare hoists the parts of the delta-L of moving the vertex of mv
+// out of from that do not depend on the target module. mv.WToTo is
+// ignored; each candidate passes its own weight to Delta.
+func Prepare(a Aggregates, from Module, mv Move) Prepared {
+	return Prepared{agg: a, from: from, nf: leave(from, mv), pu: mv.PU, exitU: mv.ExitU, l0: a.L()}
 }
 
-// ApplyMove applies mv and returns the updated aggregates and modules.
+// Delta returns the codelength change (bits) of moving the prepared
+// vertex into to, whose members it links to with normalized weight
+// wToTo. Negative is an improvement.
+func (p *Prepared) Delta(to Module, wToTo float64) float64 {
+	nt := enter(to, p.pu, p.exitU, wToTo)
+	return step(p.agg, p.from, p.nf, to, nt).L() - p.l0
+}
+
+// ApplyMove applies mv to a vertex currently in from, moving it to to,
+// and returns the updated aggregates and modules.
 func ApplyMove(a Aggregates, from, to Module, mv Move) (Aggregates, Module, Module) {
-	return after(a, from, to, mv)
+	nf := leave(from, mv)
+	nt := enter(to, mv.PU, mv.ExitU, mv.WToTo)
+	return step(a, from, nf, to, nt), nf, nt
 }

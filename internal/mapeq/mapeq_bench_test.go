@@ -12,24 +12,38 @@ func benchSetup() (Aggregates, Module, Module, Move) {
 	})
 	f := NewVertexFlow(g)
 	mods := []Module{
-		{SumPr: 0.5, ExitPr: 1.0 / 14, Members: 3},
-		{SumPr: 0.5, ExitPr: 1.0 / 14, Members: 3},
+		NewModule(0.5, 1.0/14, 3),
+		NewModule(0.5, 1.0/14, 3),
 	}
 	agg := AggregateModules(mods, f.SumPlogpP)
 	mv := Move{PU: f.P[2], ExitU: f.Exit[2], WToFrom: 2.0 / 14, WToTo: 1.0 / 14}
 	return agg, mods[0], mods[1], mv
 }
 
-// BenchmarkDeltaL measures the inner-loop O(1) move evaluation — the
-// unit of the cost model's TimePerOp constant.
+// benchSink keeps the benchmarked results live.
+var benchSink float64
+
+// benchCandidates is the number of candidate modules per prepared
+// vertex in BenchmarkDeltaL, a typical neighbour-module count.
+const benchCandidates = 8
+
+// BenchmarkDeltaL measures the inner-loop move evaluation as the sweep
+// runs it: one Prepare per vertex, then one Delta per candidate module.
+// ns/candidate is the unit of the cost model's TimePerOp constant.
 func BenchmarkDeltaL(b *testing.B) {
 	agg, from, to, mv := benchSetup()
-	b.ReportAllocs()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += DeltaL(agg, from, to, mv)
+	tos := make([]Module, benchCandidates)
+	for k := range tos {
+		tos[k] = NewModule(to.SumPr*float64(k+1)/benchCandidates, to.ExitPr, to.Members+k)
 	}
-	_ = sink
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pr := Prepare(agg, from, mv)
+		for k := range tos {
+			benchSink += pr.Delta(tos[k], mv.WToTo)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchCandidates), "ns/candidate")
 }
 
 func BenchmarkApplyMove(b *testing.B) {

@@ -95,6 +95,9 @@ func buildModules(g *graph.Graph, f *VertexFlow, comm []int, k int) []Module {
 			}
 		})
 	}
+	for c, m := range mods {
+		mods[c] = NewModule(m.SumPr, m.ExitPr, m.Members)
+	}
 	return mods
 }
 
@@ -158,8 +161,8 @@ func makeMove(g *graph.Graph, f *VertexFlow, comm []int, u, target int) Move {
 }
 
 // TestDeltaLMatchesRecompute is the core correctness test: the O(1)
-// DeltaL must equal the difference of full recomputations, for random
-// graphs, random assignments, and random moves.
+// prepared delta-L must equal the difference of full recomputations,
+// for random graphs, random assignments, and random moves.
 func TestDeltaLMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
@@ -188,7 +191,8 @@ func TestDeltaLMatchesRecompute(t *testing.T) {
 			continue
 		}
 		mv := makeMove(g, f, comm, u, target)
-		delta := DeltaL(a, mods[comm[u]], mods[target], mv)
+		pr := Prepare(a, mods[comm[u]], mv)
+		delta := pr.Delta(mods[target], mv.WToTo)
 
 		// Reference: recompute everything after the move.
 		comm2 := make([]int, n)
@@ -197,7 +201,7 @@ func TestDeltaLMatchesRecompute(t *testing.T) {
 		a2 := AggregateModules(buildModules(g, f, comm2, k), f.SumPlogpP)
 		want := a2.L() - a.L()
 		if !almostEqual(delta, want, 1e-9) {
-			t.Fatalf("trial %d: DeltaL = %v, recomputed = %v (diff %g)",
+			t.Fatalf("trial %d: Delta = %v, recomputed = %v (diff %g)",
 				trial, delta, want, delta-want)
 		}
 	}
@@ -213,10 +217,11 @@ func TestApplyMoveConsistentWithDeltaL(t *testing.T) {
 	a := AggregateModules(mods, f.SumPlogpP)
 
 	mv := makeMove(g, f, comm, 2, 1)
-	delta := DeltaL(a, mods[0], mods[1], mv)
+	pr := Prepare(a, mods[0], mv)
+	delta := pr.Delta(mods[1], mv.WToTo)
 	a2, nf, nt := ApplyMove(a, mods[0], mods[1], mv)
 	if !almostEqual(a2.L()-a.L(), delta, 1e-12) {
-		t.Fatalf("ApplyMove L change %v != DeltaL %v", a2.L()-a.L(), delta)
+		t.Fatalf("ApplyMove L change %v != Delta %v", a2.L()-a.L(), delta)
 	}
 	if nf.Members != 2 || nt.Members != 4 {
 		t.Fatalf("member counts after move: %d, %d", nf.Members, nt.Members)
@@ -262,7 +267,7 @@ func TestEmptyModuleClampsToZero(t *testing.T) {
 	}
 }
 
-// Property: DeltaL of a no-op-like pair of opposite moves sums to ~0.
+// Property: the delta-L of a no-op-like pair of opposite moves sums to ~0.
 func TestPropertyMoveReversibility(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -337,5 +342,123 @@ func TestPropertyIncrementalAggregatesStayConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceAfter is the textbook single-vertex move: the new module
+// statistics, and all eight module log terms of the aggregate update
+// computed afresh from the statistics. It never reads the cached terms.
+func referenceAfter(a Aggregates, from, to Module, mv Move) Aggregates {
+	nfSum, nfExit := from.SumPr-mv.PU, from.ExitPr-mv.ExitU+2*mv.WToFrom
+	if from.Members-1 == 0 {
+		nfSum, nfExit = 0, 0
+	}
+	ntSum, ntExit := to.SumPr+mv.PU, to.ExitPr+mv.ExitU-2*mv.WToTo
+	for _, x := range []*float64{&nfSum, &nfExit, &ntSum, &ntExit} {
+		if *x < 0 && *x > -1e-12 {
+			*x = 0
+		}
+	}
+	a.QTotal += nfExit + ntExit - from.ExitPr - to.ExitPr
+	if a.QTotal < 0 {
+		a.QTotal = 0
+	}
+	a.SumQLogQ += PlogP(nfExit) + PlogP(ntExit) - PlogP(from.ExitPr) - PlogP(to.ExitPr)
+	a.SumQPLogQP += PlogP(nfExit+nfSum) + PlogP(ntExit+ntSum) -
+		PlogP(from.ExitPr+from.SumPr) - PlogP(to.ExitPr+to.SumPr)
+	return a
+}
+
+// referenceDeltaL is the textbook delta-L: both codelengths evaluated
+// in full. It is the oracle the prepared kernel must match bit for bit.
+func referenceDeltaL(a Aggregates, from, to Module, mv Move) float64 {
+	return referenceAfter(a, from, to, mv).L() - a.L()
+}
+
+// checkCache fails unless m's cached log terms are exactly PlogP of its
+// statistics.
+func checkCache(t *testing.T, what string, m Module) {
+	t.Helper()
+	q, plogQ, plogQP := m.Terms()
+	if math.Float64bits(q) != math.Float64bits(m.ExitPr) ||
+		math.Float64bits(plogQ) != math.Float64bits(PlogP(m.ExitPr)) ||
+		math.Float64bits(plogQP) != math.Float64bits(PlogP(m.ExitPr+m.SumPr)) {
+		t.Fatalf("%s %+v: cached terms are not PlogP of its statistics", what, m)
+	}
+}
+
+// TestPreparedDeltaBitIdentical checks the prepared kernel against the
+// textbook delta-L by Float64bits on random module pairs, including an
+// emptied from-module, an empty target, and flow residue inside the
+// clamp window (-1e-12, 0). ApplyMove must match the textbook aggregate
+// update the same way, and every module it or NewModule returns must
+// carry exact cached terms.
+func TestPreparedDeltaBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var clamped, emptied, emptyTo int
+	for trial := 0; trial < 20000; trial++ {
+		a := Aggregates{
+			QTotal:     rng.Float64(),
+			SumQLogQ:   -rng.Float64(),
+			SumQPLogQP: -rng.Float64(),
+			SumPlogpP:  -10 * rng.Float64(),
+		}
+		mv := Move{
+			PU:      rng.Float64() / 100,
+			ExitU:   rng.Float64() / 100,
+			WToFrom: rng.Float64() / 400,
+			WToTo:   rng.Float64() / 400,
+		}
+		from := NewModule(mv.PU+rng.Float64()/10, mv.ExitU+rng.Float64()/10, 1+rng.Intn(4))
+		to := NewModule(rng.Float64()/10, rng.Float64()/10, 1+rng.Intn(4))
+		residue := -rng.Float64() * 9e-13
+		switch trial % 6 {
+		case 0: // the vertex is the only member: from empties
+			from = NewModule(mv.PU, mv.ExitU, 1)
+		case 1: // escape into an empty module
+			to = Module{}
+		case 2: // from's statistics drop into the clamp window
+			from = NewModule(mv.PU+residue, mv.ExitU-2*mv.WToFrom+residue, 2)
+		case 3: // to's exit drops into the clamp window
+			mv.WToTo = (to.ExitPr + mv.ExitU - residue) / 2
+		}
+		checkCache(t, "NewModule", from)
+		checkCache(t, "NewModule", to)
+		nf := leave(from, mv)
+		nt := enter(to, mv.PU, mv.ExitU, mv.WToTo)
+		if nf.Members == 0 {
+			emptied++
+		}
+		if to.Members == 0 {
+			emptyTo++
+		}
+		// Clamped values are assigned exactly 0.
+		if (nf.Members > 0 && (nf.SumPr == 0 || nf.ExitPr == 0)) || nt.ExitPr == 0 {
+			clamped++
+		}
+
+		pr := Prepare(a, from, mv)
+		got := pr.Delta(to, mv.WToTo)
+		want := referenceDeltaL(a, from, to, mv)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Delta = %v (%#x), reference = %v (%#x)",
+				trial, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+
+		a2, nf2, nt2 := ApplyMove(a, from, to, mv)
+		ref := referenceAfter(a, from, to, mv)
+		for _, pair := range [][2]float64{
+			{a2.QTotal, ref.QTotal}, {a2.SumQLogQ, ref.SumQLogQ}, {a2.SumQPLogQP, ref.SumQPLogQP},
+		} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("trial %d: ApplyMove aggregates %+v, reference %+v", trial, a2, ref)
+			}
+		}
+		checkCache(t, "ApplyMove from", nf2)
+		checkCache(t, "ApplyMove to", nt2)
+	}
+	if clamped == 0 || emptied == 0 || emptyTo == 0 {
+		t.Fatalf("edge cases not exercised: clamped %d, emptied %d, empty target %d",
+			clamped, emptied, emptyTo)
 	}
 }

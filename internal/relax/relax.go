@@ -149,7 +149,7 @@ func optimizeParallel(g *graph.Graph, cfg Config, salt uint64, vertexTerm float6
 	inv2W := flow.Norm()
 	for u := 0; u < n; u++ {
 		st.comm[u].Store(int64(u))
-		st.mods[u] = mapeq.Module{SumPr: flow.P[u], ExitPr: flow.Exit[u], Members: 1}
+		st.mods[u] = mapeq.NewModule(flow.P[u], flow.Exit[u], 1)
 	}
 	st.agg = mapeq.AggregateModules(st.mods, vertexTerm)
 
@@ -218,15 +218,14 @@ func sweepShard(g *graph.Graph, flow *mapeq.VertexFlow, st *sharedState,
 		st.aggMu.Lock()
 		agg := st.agg
 		st.aggMu.Unlock()
+		pr := mapeq.Prepare(agg, st.readMod(from), mv)
 		best := 0.0
 		bestC := from
-		fromMod := st.readMod(from)
 		for c, w := range wTo {
 			if c == from {
 				continue
 			}
-			mv.WToTo = w
-			if d := mapeq.DeltaL(agg, fromMod, st.readMod(c), mv); d < best-1e-15 {
+			if d := pr.Delta(st.readMod(c), w); d < best-1e-15 {
 				best = d
 				bestC = c
 			}
@@ -256,6 +255,9 @@ func sweepShard(g *graph.Graph, flow *mapeq.VertexFlow, st *sharedState,
 }
 
 // exactL evaluates the two-level codelength of comm on g from scratch.
+// Its modules are built by += and carry no cached log terms; that is
+// safe because AggregateModules reads only the statistics, and the
+// modules never reach the delta-L kernel.
 func exactL(g *graph.Graph, flow *mapeq.VertexFlow, comm []int, vertexTerm float64) float64 {
 	dense, k := graph.Renumber(comm)
 	mods := make([]mapeq.Module, k)
