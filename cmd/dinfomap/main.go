@@ -48,7 +48,7 @@ import (
 	"time"
 
 	"dinfomap"
-	"dinfomap/internal/trace"
+	"dinfomap/internal/obs"
 )
 
 func main() {
@@ -202,11 +202,7 @@ func main() {
 	fmt.Printf("max rank traffic: %d bytes\n", res.MaxRankBytes)
 	if !*quiet {
 		fmt.Println("stage-1 phase breakdown (modeled, max rank):")
-		for _, ph := range []string{
-			trace.PhaseFindBestModule, trace.PhaseBcastDelegates,
-			trace.PhaseSwapBoundary, trace.PhaseRefreshRound1,
-			trace.PhaseRefreshRound2, trace.PhaseOther,
-		} {
+		for _, ph := range obs.Stage1Phases() {
 			fmt.Printf("  %-20s %v\n", ph, res.PhaseModeled[ph].Round(time.Microsecond))
 		}
 	}

@@ -26,9 +26,9 @@ type Bench struct {
 }
 
 // Suite returns the primitive benchmarks in a fixed order: the three
-// end-to-end primitives from the root bench_test.go plus the sweep,
-// codec, and collective micro-benches guarding the dense-index hot
-// paths and the pooled message buffers.
+// end-to-end primitives (also wrapped as root Benchmark functions) plus
+// the sweep, codec, and collective micro-benches guarding the
+// dense-index hot paths and the pooled message buffers.
 func Suite() []Bench {
 	return []Bench{
 		{Name: "SequentialInfomap", F: BenchSequentialInfomap},
@@ -52,7 +52,7 @@ func plantedBenchGraph() dinfomap.PlantedGraph {
 	}, 11)
 }
 
-// BenchSequentialInfomap mirrors the root BenchmarkSequentialInfomap.
+// BenchSequentialInfomap times one sequential Infomap run.
 func BenchSequentialInfomap(b *testing.B) {
 	pg := plantedBenchGraph()
 	b.ResetTimer()
@@ -61,9 +61,8 @@ func BenchSequentialInfomap(b *testing.B) {
 	}
 }
 
-// BenchDistributedInfomapP4 mirrors the root
-// BenchmarkDistributedInfomapP4: the headline end-to-end primitive the
-// acceptance thresholds apply to.
+// BenchDistributedInfomapP4 times one distributed run at p = 4: the
+// headline end-to-end primitive the acceptance thresholds apply to.
 func BenchDistributedInfomapP4(b *testing.B) {
 	pg := plantedBenchGraph()
 	b.ResetTimer()
@@ -72,8 +71,8 @@ func BenchDistributedInfomapP4(b *testing.B) {
 	}
 }
 
-// BenchDelegatePartitioning mirrors the root
-// BenchmarkDelegatePartitioning.
+// BenchDelegatePartitioning times the delegate layout of a 20k-vertex
+// power-law graph at p = 16.
 func BenchDelegatePartitioning(b *testing.B) {
 	g := dinfomap.GeneratePowerLaw(13, 20000, 2.0, 2, 2000)
 	b.ResetTimer()

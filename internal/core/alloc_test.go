@@ -12,6 +12,7 @@ import (
 
 	"dinfomap/internal/gen"
 	"dinfomap/internal/mpi"
+	"dinfomap/internal/obs"
 )
 
 // TestSweepPassAllocFree converges a single-rank level, then asserts
@@ -56,5 +57,22 @@ func TestCodecRoundAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Module_Info codec round: %v allocs/op, want 0", avg)
+	}
+}
+
+// TestPhaseSpanAllocFree asserts that a phase span — stats snapshot,
+// one diff, the cost booking into an existing phase key — allocates
+// nothing. The level journals nowhere, so Emit is a no-op here.
+func TestPhaseSpanAllocFree(t *testing.T) {
+	g, _ := gen.PlantedPartition(5, gen.PlantedConfig{
+		N: 200, NumComms: 4, AvgDegree: 8, Mixing: 0.2,
+	})
+	h := NewBenchLevel(g, 7)
+	avg := testing.AllocsPerRun(100, func() {
+		sp := h.lv.openSpan(obs.PhaseRefreshRound1)
+		h.lv.closeSpan(sp, h.costs, obs.Event{Ops: 1})
+	})
+	if avg != 0 {
+		t.Fatalf("phase span: %v allocs/op, want 0", avg)
 	}
 }

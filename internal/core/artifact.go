@@ -193,18 +193,14 @@ func Assemble(cfg Config, artifacts []*RankArtifact) (*Result, error) {
 	model := cfg.CostModel
 	res.PhaseModeled = make(map[string]time.Duration)
 	res.PhaseOps = make(map[string]int64)
-	phases := []string{
-		trace.PhaseFindBestModule, trace.PhaseBcastDelegates,
-		trace.PhaseSwapBoundary, trace.PhaseRefreshRound1,
-		trace.PhaseRefreshRound2, trace.PhaseOther,
-	}
+	phases := obs.Stage1Phases()
 	// Async runs accrue their exchange cost under the async-drain phase;
 	// synchronous runs never have the key, and omitting it there keeps
 	// their modeled-phase breakdown (and the golden result JSONs built
 	// from it) byte-identical to pre-async builds.
 	for _, a := range artifacts {
-		if _, ok := a.Phase[trace.PhaseAsyncDrain]; ok {
-			phases = append(phases, trace.PhaseAsyncDrain)
+		if _, ok := a.Phase[obs.PhaseAsyncDrain.Name()]; ok {
+			phases = append(phases, obs.PhaseAsyncDrain.Name())
 			break
 		}
 	}

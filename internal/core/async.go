@@ -4,7 +4,6 @@ import (
 	"dinfomap/internal/mapeq"
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
-	"dinfomap/internal/trace"
 )
 
 // This file implements the asynchronous bounded-staleness sweep mode of
@@ -725,7 +724,7 @@ func (as *asyncState) finish() {
 // clusterAsync is the bounded-staleness counterpart of cluster(): the
 // asynchronous stage-1 clustering loop. costs receives this rank's
 // per-phase work/traffic; the epochs' exchange cost accrues under
-// trace.PhaseAsyncDrain.
+// obs.PhaseAsyncDrain.
 func (lv *level) clusterAsync(costs phaseCosts) clusterOutcome {
 	out := clusterOutcome{}
 	prevKind := lv.c.SetKind(mpi.KindCollective)
@@ -741,9 +740,8 @@ func (lv *level) clusterAsync(costs phaseCosts) clusterOutcome {
 	prevAsyncKind := lv.c.SetKind(mpi.KindModuleInfo)
 	for e := 0; e < lv.cfg.MaxSweeps; e++ {
 		// --- Gate + process (async-drain span) ---
-		jt := lv.jlog.Now()
-		before := lv.c.Stats()
-		lv.timer.Start(trace.PhaseAsyncDrain)
+		it := int32(e)
+		sp := lv.openSpan(obs.PhaseAsyncDrain)
 		as.drain()
 		as.await(e)
 		gateOps := as.processReady()
@@ -751,17 +749,7 @@ func (lv *level) clusterAsync(costs phaseCosts) clusterOutcome {
 		if stale < 0 || stale > as.k {
 			panicf("rank %d: epoch %d staleness %d outside [0, %d]", lv.rank, e, stale, as.k)
 		}
-		lv.timer.Stop(trace.PhaseAsyncDrain)
-		after := lv.c.Stats()
-		msgs, bytes := commDelta(before, after)
-		costs.add(trace.PhaseAsyncDrain, trace.RankCost{Ops: gateOps, Msgs: msgs, Bytes: bytes})
-		lv.jlog.Emit(obs.Event{
-			Stage: lv.jstage, Outer: lv.jouter, Iter: int32(e),
-			Phase: obs.PhaseAsyncDrain, Start: jt, End: lv.jlog.Now(),
-			Stale: int32(stale),
-			Ops:   gateOps, Msgs: msgs, Bytes: bytes,
-			WaitNs: waitDelta(before, after),
-		})
+		lv.closeSpan(sp, costs, obs.Event{Iter: it, Stale: int32(stale), Ops: gateOps})
 		if as.stopRequested {
 			break
 		}
@@ -770,10 +758,8 @@ func (lv *level) clusterAsync(costs phaseCosts) clusterOutcome {
 		as.hist[stale]++
 
 		// --- Sweep epoch e, draining between move passes ---
-		lv.timer.Start(trace.PhaseFindBestModule)
-		jt = lv.jlog.Now()
+		sweep := lv.openSpan(obs.PhaseFindBestModule)
 		evalsBefore := lv.deltaEvals
-		sweepMark := lv.c.Stats()
 		lv.dampP = dampProb(e)
 		moves, deferred := 0, 0
 		var cands []hubCandidate
@@ -795,49 +781,27 @@ func (lv *level) clusterAsync(costs phaseCosts) clusterOutcome {
 				break
 			}
 		}
-		lv.timer.Stop(trace.PhaseFindBestModule)
-		costs.add(trace.PhaseFindBestModule, trace.RankCost{Ops: lv.deltaEvals - evalsBefore})
-		lv.jlog.Emit(obs.Event{
-			Stage: lv.jstage, Outer: lv.jouter, Iter: int32(e),
-			Phase: obs.PhaseFindBestModule, Start: jt, End: lv.jlog.Now(),
-			Moves: int32(moves), Deferred: int32(deferred),
+		lv.closeSpan(sweep, costs, obs.Event{
+			Iter: it, Moves: int32(moves), Deferred: int32(deferred),
 			Ops: lv.deltaEvals - evalsBefore,
 		})
 
 		// --- Broadcast the epoch (flush half of the async-drain span) ---
-		jt = lv.jlog.Now()
-		lv.timer.Start(trace.PhaseAsyncDrain)
+		// The flush keeps the sweep's stats snapshot. The mid-sweep
+		// drains only receive, without blocking, so the sweep span books
+		// no traffic and neither span double-books.
+		flush := sweep
+		flush.phase, flush.start = obs.PhaseAsyncDrain, lv.jlog.Now()
 		as.sendEpoch(int64(moves+deferred), cands)
-		lv.timer.Stop(trace.PhaseAsyncDrain)
-		after = lv.c.Stats()
-		msgs, bytes = commDelta(sweepMark, after)
-		costs.add(trace.PhaseAsyncDrain, trace.RankCost{Ops: midOps, Msgs: msgs, Bytes: bytes})
-		lv.jlog.Emit(obs.Event{
-			Stage: lv.jstage, Outer: lv.jouter, Iter: int32(e),
-			Phase: obs.PhaseAsyncDrain, Start: jt, End: lv.jlog.Now(),
-			Stale: int32(stale),
-			Ops:   midOps, Msgs: msgs, Bytes: bytes,
-			WaitNs: waitDelta(sweepMark, after),
-		})
+		lv.closeSpan(flush, costs, obs.Event{Iter: it, Stale: int32(stale), Ops: midOps})
 		lv.jlog.PublishComm(lv.c.Stats())
 		out.iterations++
 	}
 
 	// --- Shutdown: join the mesh, then restore exactness ---
-	jt := lv.jlog.Now()
-	before := lv.c.Stats()
-	lv.timer.Start(trace.PhaseAsyncDrain)
+	sp := lv.openSpan(obs.PhaseAsyncDrain)
 	as.finish()
-	lv.timer.Stop(trace.PhaseAsyncDrain)
-	after := lv.c.Stats()
-	msgs, bytes := commDelta(before, after)
-	costs.add(trace.PhaseAsyncDrain, trace.RankCost{Msgs: msgs, Bytes: bytes})
-	lv.jlog.Emit(obs.Event{
-		Stage: lv.jstage, Outer: lv.jouter, Iter: int32(out.iterations),
-		Phase: obs.PhaseAsyncDrain, Start: jt, End: lv.jlog.Now(),
-		Msgs: msgs, Bytes: bytes,
-		WaitNs: waitDelta(before, after),
-	})
+	lv.closeSpan(sp, costs, obs.Event{Iter: int32(out.iterations)})
 	lv.c.SetKind(prevAsyncKind)
 	lv.swapGhostComms()
 

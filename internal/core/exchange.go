@@ -4,7 +4,6 @@ import (
 	"dinfomap/internal/mapeq"
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
-	"dinfomap/internal/trace"
 )
 
 // broadcastDelegates runs the BroadcastDelegates phase (Algorithm 2,
@@ -241,9 +240,7 @@ func (lv *level) swapGhostComms() (sent int) {
 // walked by ascending slot, which is ascending module-id order. No step
 // hashes, sorts, or allocates in the steady state.
 func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
-	j1 := lv.jlog.Now()
-	before := lv.c.Stats()
-	lv.timer.Start(trace.PhaseRefreshRound1)
+	sp := lv.openSpan(obs.PhaseRefreshRound1)
 	// Round 1 ships module partials; round 2 answers with authoritative
 	// Module_Info; the closing MDL reduction is a control collective.
 	prevKind := lv.c.SetKind(mpi.KindModulePartial)
@@ -391,19 +388,8 @@ func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
 	}
 
 	// Round-1 span closes here: partials shuffled and summed at owners.
-	after := lv.c.Stats()
-	msgs, bytes := commDelta(before, after)
-	lv.timer.Stop(trace.PhaseRefreshRound1)
-	costs.add(trace.PhaseRefreshRound1, trace.RankCost{Ops: r1Ops, Msgs: msgs, Bytes: bytes})
-	lv.jlog.Emit(obs.Event{
-		Stage: lv.jstage, Outer: lv.jouter, Iter: iter,
-		Phase: obs.PhaseRefreshRound1, Start: j1, End: lv.jlog.Now(),
-		Ops: r1Ops, Msgs: msgs, Bytes: bytes,
-		WaitNs: waitDelta(before, after),
-	})
-	j2 := lv.jlog.Now()
-	before = lv.c.Stats()
-	lv.timer.Start(trace.PhaseRefreshRound2)
+	lv.closeSpan(sp, costs, obs.Event{Iter: iter, Ops: r1Ops})
+	sp = lv.openSpan(obs.PhaseRefreshRound2)
 	lv.c.SetKind(mpi.KindModuleInfo)
 
 	// ---- Round 2: authoritative stats back to subscribers ----
@@ -505,16 +491,7 @@ func (lv *level) refresh(costs phaseCosts, iter int32) (numModules int64) {
 
 	// Round-2 span: authoritative replies delivered, table rebuilt,
 	// aggregates reduced.
-	after = lv.c.Stats()
-	msgs, bytes = commDelta(before, after)
-	lv.timer.Stop(trace.PhaseRefreshRound2)
-	costs.add(trace.PhaseRefreshRound2, trace.RankCost{Ops: r2Ops, Msgs: msgs, Bytes: bytes})
-	lv.jlog.Emit(obs.Event{
-		Stage: lv.jstage, Outer: lv.jouter, Iter: iter,
-		Phase: obs.PhaseRefreshRound2, Start: j2, End: lv.jlog.Now(),
-		Ops: r2Ops, Msgs: msgs, Bytes: bytes,
-		WaitNs: waitDelta(before, after),
-	})
+	lv.closeSpan(sp, costs, obs.Event{Iter: iter, Ops: r2Ops})
 	// forceFullInfo is one-shot: the full-record round just completed
 	// repaired the sentVersion/delivered bookkeeping, so later refreshes
 	// can deduplicate again.

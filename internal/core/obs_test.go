@@ -117,8 +117,8 @@ func TestJournalChromeExportFromRealRun(t *testing.T) {
 		t.Fatalf("trace has %d timeline rows, want %d", len(rows), p)
 	}
 	for _, ph := range []string{
-		trace.PhaseFindBestModule, trace.PhaseBcastDelegates,
-		trace.PhaseSwapBoundary, trace.PhaseOther,
+		obs.PhaseFindBestModule.Name(), obs.PhaseBcastDelegates.Name(),
+		obs.PhaseSwapBoundary.Name(), obs.PhaseOther.Name(),
 	} {
 		if !phases[ph] {
 			t.Errorf("trace missing %s spans", ph)
@@ -220,17 +220,17 @@ func TestStageInternalSpansJournaled(t *testing.T) {
 	if len(rep.Timing.PhaseWallNs) == 0 {
 		t.Fatal("journaled run produced no Timing.PhaseWallNs")
 	}
-	for _, ph := range []string{trace.PhaseRefreshRound1, trace.PhaseRefreshRound2,
-		trace.PhaseMergeShuffle} {
+	for _, ph := range []string{obs.PhaseRefreshRound1.Name(), obs.PhaseRefreshRound2.Name(),
+		obs.PhaseMergeShuffle.Name()} {
 		if _, ok := rep.Timing.PhaseWallNs[ph]; !ok {
 			t.Errorf("Timing.PhaseWallNs missing %s", ph)
 		}
 	}
 	for r, rr := range rep.Ranks {
-		if _, ok := rr.Stage2Phases[trace.PhaseMergeShuffle]; !ok {
+		if _, ok := rr.Stage2Phases[obs.PhaseMergeShuffle.Name()]; !ok {
 			t.Errorf("rank %d report missing merge-shuffle in Stage2Phases", r)
 		}
-		if _, ok := rr.Phases[trace.PhaseRefreshRound1]; !ok {
+		if _, ok := rr.Phases[obs.PhaseRefreshRound1.Name()]; !ok {
 			t.Errorf("rank %d report missing refresh-round1 in stage-1 Phases", r)
 		}
 		if len(rr.PhaseWallNs) == 0 {
@@ -252,5 +252,58 @@ func TestRunWithoutJournalPublishesPerRankCosts(t *testing.T) {
 	}
 	if evals != res.DeltaEvaluations {
 		t.Fatalf("per-rank evals %d != total %d", evals, res.DeltaEvaluations)
+	}
+}
+
+// TestJournalSpansMatchModeledCosts pins the invariant the span
+// primitive creates: every phase span books its journal event and its
+// modeled cost from one stats diff, so per rank and phase the summed
+// journal Msgs, Bytes and Ops equal the Result's per-phase costs.
+// Merge-shuffle spans belong to the stage-2 costs even when they
+// contract the stage-1 level; SwapBoundaryInfo Ops differ by design
+// (the cost counts ghost slots, the journal counts swaps made).
+func TestJournalSpansMatchModeledCosts(t *testing.T) {
+	for _, k := range []int{0, 2} {
+		g, _ := planted(7, 400, 8, 0.2)
+		j := obs.NewJournal(4)
+		res := Run(g, Config{P: 4, Seed: 3, Journal: j, StalenessBound: k})
+		for r := 0; r < 4; r++ {
+			stage1 := map[string]trace.RankCost{}
+			stage2 := map[string]trace.RankCost{}
+			for _, ev := range j.Rank(r).Events() {
+				if ev.Phase == obs.PhaseOuterIter {
+					continue
+				}
+				sums := stage1
+				if ev.Stage == 2 || ev.Phase == obs.PhaseMergeShuffle {
+					sums = stage2
+				}
+				name := ev.Phase.Name()
+				sums[name] = sums[name].Add(trace.RankCost{Ops: ev.Ops, Msgs: ev.Msgs, Bytes: ev.Bytes})
+			}
+			for _, side := range []struct {
+				name      string
+				journaled map[string]trace.RankCost
+				booked    map[string]trace.RankCost
+			}{
+				{"stage 1", stage1, res.PerRankPhase[r]},
+				{"stage 2", stage2, res.PerRankStage2Phase[r]},
+			} {
+				if len(side.journaled) != len(side.booked) {
+					t.Errorf("k=%d rank %d %s: journal has phases %v, costs have %v",
+						k, r, side.name, side.journaled, side.booked)
+				}
+				for ph, want := range side.booked {
+					got := side.journaled[ph]
+					if ph == obs.PhaseSwapBoundary.Name() {
+						got.Ops = want.Ops
+					}
+					if got != want {
+						t.Errorf("k=%d rank %d %s %s: journal spans sum to %+v, costs hold %+v",
+							k, r, side.name, ph, got, want)
+					}
+				}
+			}
+		}
 	}
 }

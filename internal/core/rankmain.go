@@ -12,29 +12,6 @@ import (
 	"dinfomap/internal/trace"
 )
 
-// phaseCosts accumulates one rank's modeled cost per phase.
-type phaseCosts map[string]trace.RankCost
-
-func (pc phaseCosts) add(name string, c trace.RankCost) {
-	cur := pc[name]
-	cur.Ops += c.Ops
-	cur.Msgs += c.Msgs
-	cur.Bytes += c.Bytes
-	pc[name] = cur
-}
-
-// commDelta returns the sent-side traffic between two stats snapshots.
-func commDelta(before, after mpi.Stats) (msgs, bytes int64) {
-	d := after.Sub(before)
-	return d.MsgsSent + d.CollectiveMsgs, d.BytesSent + d.CollectiveBytes
-}
-
-// waitDelta returns the blocked time (late senders plus barrier skew)
-// between two stats snapshots, for span wait attribution.
-func waitDelta(before, after mpi.Stats) int64 {
-	return after.BlockedNs() - before.BlockedNs()
-}
-
 // clusterOutcome reports one level's converged clustering.
 type clusterOutcome struct {
 	iterations int
@@ -67,8 +44,8 @@ func (lv *level) cluster(costs phaseCosts) clusterOutcome {
 	stalled := 0
 	for iter := 0; iter < lv.cfg.MaxSweeps; iter++ {
 		// --- FindBestModule ---
-		lv.timer.Start(trace.PhaseFindBestModule)
-		jt := lv.jlog.Now()
+		it := int32(iter)
+		sp := lv.openSpan(obs.PhaseFindBestModule)
 		evalsBefore := lv.deltaEvals
 		if lv.polish {
 			lv.dampP = 0
@@ -76,72 +53,32 @@ func (lv *level) cluster(costs phaseCosts) clusterOutcome {
 			lv.dampP = dampProb(iter)
 		}
 		moves, deferred, cands := lv.sweep(s, passBudget(iter))
-		lv.timer.Stop(trace.PhaseFindBestModule)
-		costs.add(trace.PhaseFindBestModule, trace.RankCost{Ops: lv.deltaEvals - evalsBefore})
-		lv.jlog.Emit(obs.Event{
-			Stage: lv.jstage, Outer: lv.jouter, Iter: int32(iter),
-			Phase: obs.PhaseFindBestModule, Start: jt, End: lv.jlog.Now(),
-			Moves: int32(moves), Deferred: int32(deferred),
+		lv.closeSpan(sp, costs, obs.Event{
+			Iter: it, Moves: int32(moves), Deferred: int32(deferred),
 			Ops: lv.deltaEvals - evalsBefore,
 		})
 
 		// --- BroadcastDelegates ---
-		lv.timer.Start(trace.PhaseBcastDelegates)
-		jt = lv.jlog.Now()
-		before := lv.c.Stats()
+		sp = lv.openSpan(obs.PhaseBcastDelegates)
 		hubMoves := lv.broadcastDelegates(cands)
-		after := lv.c.Stats()
-		msgs, bytes := commDelta(before, after)
-		lv.timer.Stop(trace.PhaseBcastDelegates)
-		costs.add(trace.PhaseBcastDelegates, trace.RankCost{
-			Ops: int64(len(cands)), Msgs: msgs, Bytes: bytes,
-		})
-		lv.jlog.Emit(obs.Event{
-			Stage: lv.jstage, Outer: lv.jouter, Iter: int32(iter),
-			Phase: obs.PhaseBcastDelegates, Start: jt, End: lv.jlog.Now(),
-			Moves: int32(hubMoves),
-			Ops:   int64(len(cands)), Msgs: msgs, Bytes: bytes,
-			WaitNs: waitDelta(before, after),
-		})
+		lv.closeSpan(sp, costs, obs.Event{Iter: it, Moves: int32(hubMoves), Ops: int64(len(cands))})
 
 		// --- SwapBoundaryInfo ---
-		lv.timer.Start(trace.PhaseSwapBoundary)
-		jt = lv.jlog.Now()
-		before = lv.c.Stats()
+		// The modeled cost counts every ghost slot; the journal counts
+		// the swaps actually made.
+		sp = lv.openSpan(obs.PhaseSwapBoundary)
 		swaps := lv.swapGhostComms()
-		after = lv.c.Stats()
-		msgs, bytes = commDelta(before, after)
-		lv.timer.Stop(trace.PhaseSwapBoundary)
-		costs.add(trace.PhaseSwapBoundary, trace.RankCost{
-			Ops: int64(len(lv.ghosts)), Msgs: msgs, Bytes: bytes,
-		})
-		lv.jlog.Emit(obs.Event{
-			Stage: lv.jstage, Outer: lv.jouter, Iter: int32(iter),
-			Phase: obs.PhaseSwapBoundary, Start: jt, End: lv.jlog.Now(),
-			Ops: int64(swaps), Msgs: msgs, Bytes: bytes,
-			WaitNs: waitDelta(before, after),
-		})
+		lv.closeSpanOps(sp, costs, int64(len(lv.ghosts)), obs.Event{Iter: it, Ops: int64(swaps)})
 
 		// --- Module refresh (rounds 1-2 journal their own spans) ---
-		out.numModules = lv.refresh(costs, int32(iter))
+		out.numModules = lv.refresh(costs, it)
 
 		// --- Other: global move count + convergence vote ---
-		lv.timer.Start(trace.PhaseOther)
-		jt = lv.jlog.Now()
-		before = lv.c.Stats()
+		sp = lv.openSpan(obs.PhaseOther)
 		prevKind := lv.c.SetKind(mpi.KindCollective)
 		total := lv.c.AllreduceI64(int64(moves+hubMoves+deferred), mpi.OpSum)
 		lv.c.SetKind(prevKind)
-		after = lv.c.Stats()
-		msgs, bytes = commDelta(before, after)
-		lv.timer.Stop(trace.PhaseOther)
-		costs.add(trace.PhaseOther, trace.RankCost{Msgs: msgs, Bytes: bytes})
-		lv.jlog.Emit(obs.Event{
-			Stage: lv.jstage, Outer: lv.jouter, Iter: int32(iter),
-			Phase: obs.PhaseOther, Start: jt, End: lv.jlog.Now(),
-			Msgs: msgs, Bytes: bytes,
-			WaitNs: waitDelta(before, after),
-		})
+		lv.closeSpan(sp, costs, obs.Event{Iter: it})
 		// Refresh the live comm snapshot once per synchronized sweep.
 		lv.jlog.PublishComm(lv.c.Stats())
 
@@ -356,9 +293,7 @@ func (rs *runState) rankBody(c *mpi.Comm) {
 	var stage2Total trace.RankCost
 	//dinfomap:unordered-ok integer counter sums; addition order cannot change the totals
 	for _, c := range costs2 {
-		stage2Total.Ops += c.Ops
-		stage2Total.Msgs += c.Msgs
-		stage2Total.Bytes += c.Bytes
+		stage2Total = stage2Total.Add(c)
 	}
 	rs.perRankStage2[rank] = stage2Total
 	rs.perRankWall1[rank] = wall1

@@ -277,14 +277,10 @@ func criticalRankCost(res *core.Result) trace.RankCost {
 	for r := range res.PerRankPhase {
 		var c trace.RankCost
 		for _, pc := range res.PerRankPhase[r] {
-			c.Ops += pc.Ops
-			c.Msgs += pc.Msgs
-			c.Bytes += pc.Bytes
+			c = c.Add(pc)
 		}
 		if r < len(res.PerRankStage2) {
-			c.Ops += res.PerRankStage2[r].Ops
-			c.Msgs += res.PerRankStage2[r].Msgs
-			c.Bytes += res.PerRankStage2[r].Bytes
+			c = c.Add(res.PerRankStage2[r])
 		}
 		if c.Ops > crit.Ops {
 			crit.Ops = c.Ops

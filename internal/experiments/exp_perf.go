@@ -7,6 +7,7 @@ import (
 
 	"dinfomap/internal/core"
 	"dinfomap/internal/gossip"
+	"dinfomap/internal/obs"
 	"dinfomap/internal/trace"
 )
 
@@ -40,8 +41,8 @@ func RunFig8(o Options, dataset string, ps []int) ([]trace.Breakdown, error) {
 			// "Other"; the journal and run report keep the rounds split,
 			// but the figure merges them back for comparability.
 			switch ph {
-			case trace.PhaseRefreshRound1, trace.PhaseRefreshRound2:
-				ph = trace.PhaseOther
+			case obs.PhaseRefreshRound1.Name(), obs.PhaseRefreshRound2.Name():
+				ph = obs.PhaseOther.Name()
 			}
 			b.Phases[ph] += d / time.Duration(iters)
 		}
@@ -54,8 +55,8 @@ func RunFig8(o Options, dataset string, ps []int) ([]trace.Breakdown, error) {
 func FormatFig8(w io.Writer, dataset string, bs []trace.Breakdown) {
 	writeHeader(w, fmt.Sprintf("Figure 8: time breakdown per stage-1 iteration (%s, modeled)", dataset))
 	fmt.Fprint(w, trace.FormatBreakdowns(bs, []string{
-		trace.PhaseFindBestModule, trace.PhaseBcastDelegates,
-		trace.PhaseSwapBoundary, trace.PhaseOther,
+		obs.PhaseFindBestModule.Name(), obs.PhaseBcastDelegates.Name(),
+		obs.PhaseSwapBoundary.Name(), obs.PhaseOther.Name(),
 	}))
 }
 

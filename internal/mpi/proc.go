@@ -392,48 +392,27 @@ func (t *ProcTransport) handshake(conn net.Conn, cfg ProcConfig, wantPeer int, d
 	if err := conn.SetDeadline(deadline); err != nil {
 		return 0, fmt.Errorf("handshake deadline: %w", err)
 	}
-	e := NewEncoder(64)
-	e.PutU64(handshakeMagic)
-	e.PutInt(cfg.Size)
-	e.PutInt(cfg.Rank)
-	e.PutInt(len(cfg.Version))
-	hello := append(e.Bytes(), cfg.Version...)
 	pc := &peerConn{c: conn}
-	if err := pc.writeFrame(tagHello, 0, hello); err != nil {
+	if err := pc.writeFrame(tagHello, 0, encodeHello(handshakeMagic, hello{cfg.Size, cfg.Rank, cfg.Version})); err != nil {
 		return 0, fmt.Errorf("sending hello: %w", err)
 	}
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return 0, fmt.Errorf("reading hello header: %w", err)
+	h, err := readHello(conn, tagHello, handshakeMagic)
+	if err != nil {
+		return 0, err
 	}
-	n := binary.LittleEndian.Uint64(hdr[0:])
-	tag := int(int64(binary.LittleEndian.Uint64(hdr[8:])))
-	if tag != tagHello || n > 4096 {
-		return 0, &handshakeMismatch{fmt.Sprintf("bad hello frame (tag=%d, len=%d): not a dinfomap mesh peer?", tag, n)}
+	if h.size != cfg.Size {
+		return 0, &handshakeMismatch{fmt.Sprintf("rank %d believes world size is %d, we have %d", h.rank, h.size, cfg.Size)}
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return 0, fmt.Errorf("reading hello: %w", err)
+	if wantPeer != AnySource && h.rank != wantPeer {
+		return 0, &handshakeMismatch{fmt.Sprintf("dialed rank %d but peer claims rank %d", wantPeer, h.rank)}
 	}
-	d := NewDecoder(buf)
-	if magic := d.U64(); magic != handshakeMagic {
-		return 0, &handshakeMismatch{fmt.Sprintf("bad hello magic %#x", magic)}
-	}
-	size, peer := d.Int(), d.Int()
-	version := string(buf[len(buf)-d.Int():])
-	if size != cfg.Size {
-		return 0, &handshakeMismatch{fmt.Sprintf("rank %d believes world size is %d, we have %d", peer, size, cfg.Size)}
-	}
-	if wantPeer != AnySource && peer != wantPeer {
-		return 0, &handshakeMismatch{fmt.Sprintf("dialed rank %d but peer claims rank %d", wantPeer, peer)}
-	}
-	if cfg.Version != "" && version != "" && version != cfg.Version {
-		return 0, &handshakeMismatch{fmt.Sprintf("build mismatch: rank %d runs %q, we run %q", peer, version, cfg.Version)}
+	if cfg.Version != "" && h.version != "" && h.version != cfg.Version {
+		return 0, &handshakeMismatch{fmt.Sprintf("build mismatch: rank %d runs %q, we run %q", h.rank, h.version, cfg.Version)}
 	}
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		return 0, fmt.Errorf("clearing handshake deadline: %w", err)
 	}
-	return peer, nil
+	return h.rank, nil
 }
 
 // reader drains one peer connection into the inbox for the life of the

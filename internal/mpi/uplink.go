@@ -130,13 +130,7 @@ func DialUplink(network, addr string, cfg UplinkConfig) (*Uplink, error) {
 		conn.Close()
 		return nil, fmt.Errorf("mpi: rank %d uplink deadline: %w", cfg.Rank, err)
 	}
-	e := NewEncoder(64)
-	e.PutU64(uplinkMagic)
-	e.PutInt(cfg.Size)
-	e.PutInt(cfg.Rank)
-	e.PutInt(len(cfg.Version))
-	hello := append(e.Bytes(), cfg.Version...)
-	if err := pc.writeFrame(uplinkTagHello, 0, hello); err != nil {
+	if err := pc.writeFrame(uplinkTagHello, 0, encodeHello(uplinkMagic, hello{cfg.Size, cfg.Rank, cfg.Version})); err != nil {
 		//dinfomap:close-ok handshake failed before any telemetry was sent
 		conn.Close()
 		return nil, fmt.Errorf("mpi: rank %d uplink hello: %w", cfg.Rank, err)
@@ -315,38 +309,20 @@ func AcceptUplink(conn net.Conn, size int, epoch time.Time, version string, time
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, fmt.Errorf("mpi: uplink accept deadline: %w", err)
 	}
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return nil, fmt.Errorf("mpi: reading uplink hello header: %w", err)
+	h, err := readHello(conn, uplinkTagHello, uplinkMagic)
+	if err != nil {
+		return nil, fmt.Errorf("mpi: uplink %w", err)
 	}
-	n := binary.LittleEndian.Uint64(hdr[0:])
-	tag := int(int64(binary.LittleEndian.Uint64(hdr[8:])))
-	if tag != uplinkTagHello || n > 4096 {
-		return nil, &handshakeMismatch{fmt.Sprintf("bad uplink hello frame (tag=%d, len=%d)", tag, n)}
+	if size > 0 && h.size != size {
+		return nil, &handshakeMismatch{fmt.Sprintf("uplink rank %d believes world size is %d, launcher has %d", h.rank, h.size, size)}
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return nil, fmt.Errorf("mpi: reading uplink hello: %w", err)
-	}
-	d := NewDecoder(buf)
-	if magic := d.U64(); magic != uplinkMagic {
-		return nil, &handshakeMismatch{fmt.Sprintf("bad uplink magic %#x", magic)}
-	}
-	gotSize, rank := d.Int(), d.Int()
-	ver := string(buf[len(buf)-d.Int():])
-	if size > 0 && gotSize != size {
-		return nil, &handshakeMismatch{fmt.Sprintf("uplink rank %d believes world size is %d, launcher has %d", rank, gotSize, size)}
-	}
-	if rank < 0 || (size > 0 && rank >= size) {
-		return nil, &handshakeMismatch{fmt.Sprintf("uplink hello from out-of-range rank %d", rank)}
-	}
-	if version != "" && ver != "" && ver != version {
-		return nil, &handshakeMismatch{fmt.Sprintf("uplink build mismatch: rank %d runs %q, launcher runs %q", rank, ver, version)}
+	if version != "" && h.version != "" && h.version != version {
+		return nil, &handshakeMismatch{fmt.Sprintf("uplink build mismatch: rank %d runs %q, launcher runs %q", h.rank, h.version, version)}
 	}
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		return nil, fmt.Errorf("mpi: clearing uplink accept deadline: %w", err)
 	}
-	return &UplinkPeer{pc: &peerConn{c: conn}, rank: rank, size: gotSize, ver: ver, epoch: epoch}, nil
+	return &UplinkPeer{pc: &peerConn{c: conn}, rank: h.rank, size: h.size, ver: h.version, epoch: epoch}, nil
 }
 
 // Rank returns the child's rank id.

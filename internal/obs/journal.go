@@ -18,11 +18,12 @@ import (
 	"time"
 
 	"dinfomap/internal/mpi"
-	"dinfomap/internal/trace"
 )
 
 // PhaseID identifies one instrumented phase compactly; the hot path
-// records these instead of strings.
+// records these instead of strings. phaseNames is the only table of
+// phase names in the tree: the journal, the exporters, the run report
+// and the modeled-cost maps all key on Name.
 type PhaseID uint8
 
 // The four Figure-8 phases of the synchronized clustering loop, plus
@@ -33,8 +34,17 @@ const (
 	PhaseBcastDelegates
 	PhaseSwapBoundary
 	PhaseOther
+	// PhaseRefreshRound1 is the Module_Info partial exchange: local
+	// partial aggregation plus the alltoallv shipping partials to each
+	// module's home rank and the owner-side summation.
 	PhaseRefreshRound1
+	// PhaseRefreshRound2 is the authoritative reply: owners answer
+	// subscribers (isSent-deduplicated), local module tables rebuild,
+	// and the MDL aggregates allreduce.
 	PhaseRefreshRound2
+	// PhaseMergeShuffle is the distributed graph contraction: local arc
+	// contraction plus the alltoallv redistributing merged arcs to their
+	// new 1D owners.
 	PhaseMergeShuffle
 	// PhaseOuterIter is an outer-iteration boundary marker: a
 	// zero-duration event emitted when a rank finishes one outer
@@ -49,38 +59,38 @@ const (
 	numPhases
 )
 
-// Name returns the phase name used by package trace and the exporters.
+var phaseNames = [numPhases]string{
+	PhaseFindBestModule: "FindBestModule",
+	PhaseBcastDelegates: "BroadcastDelegates",
+	PhaseSwapBoundary:   "SwapBoundaryInfo",
+	PhaseOther:          "Other",
+	PhaseRefreshRound1:  "refresh-round1",
+	PhaseRefreshRound2:  "refresh-round2",
+	PhaseMergeShuffle:   "merge-shuffle",
+	PhaseOuterIter:      "outer-iteration",
+	PhaseAsyncDrain:     "async-drain",
+}
+
+// Name returns the phase name used by the exporters and the reports.
 func (p PhaseID) Name() string {
-	switch p {
-	case PhaseFindBestModule:
-		return trace.PhaseFindBestModule
-	case PhaseBcastDelegates:
-		return trace.PhaseBcastDelegates
-	case PhaseSwapBoundary:
-		return trace.PhaseSwapBoundary
-	case PhaseOther:
-		return trace.PhaseOther
-	case PhaseRefreshRound1:
-		return trace.PhaseRefreshRound1
-	case PhaseRefreshRound2:
-		return trace.PhaseRefreshRound2
-	case PhaseMergeShuffle:
-		return trace.PhaseMergeShuffle
-	case PhaseOuterIter:
-		return trace.PhaseOuterIter
-	case PhaseAsyncDrain:
-		return trace.PhaseAsyncDrain
+	if p < numPhases {
+		return phaseNames[p]
 	}
 	return "Unknown"
 }
 
 // PhaseNames lists the journal phase names in PhaseID order.
-func PhaseNames() []string {
-	out := make([]string, numPhases)
-	for p := PhaseID(0); p < numPhases; p++ {
-		out[p] = p.Name()
+func PhaseNames() []string { return append([]string(nil), phaseNames[:]...) }
+
+// Stage1Phases lists the synchronized loop's stage-1 phases in report
+// order: the four Figure-8 phases, with the two refresh rounds the
+// paper folds into Other listed before it.
+func Stage1Phases() []string {
+	return []string{
+		PhaseFindBestModule.Name(), PhaseBcastDelegates.Name(),
+		PhaseSwapBoundary.Name(), PhaseRefreshRound1.Name(),
+		PhaseRefreshRound2.Name(), PhaseOther.Name(),
 	}
-	return out
 }
 
 // Event is one journal record: a span of one phase inside one

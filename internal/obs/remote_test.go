@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -68,6 +69,19 @@ func TestRankJournalStatus(t *testing.T) {
 	}
 }
 
+// firstSample is a Collector that closes first when its first clock
+// sample lands.
+type firstSample struct {
+	*Collector
+	first chan struct{}
+	once  sync.Once
+}
+
+func (f *firstSample) HandleSample(rank int, s mpi.ClockSample) {
+	f.Collector.HandleSample(rank, s)
+	f.once.Do(func() { close(f.first) })
+}
+
 // TestRelayCollectorEndToEnd wires a child journal to a parent
 // collector over a real TCP uplink: live events must land in the
 // parent's journal, the final section must arrive lossless, and Merge
@@ -84,6 +98,7 @@ func TestRelayCollectorEndToEnd(t *testing.T) {
 
 	parentJ := NewJournalAt(p, epoch)
 	coll := NewCollector(p, parentJ, nil)
+	sampled := &firstSample{Collector: coll, first: make(chan struct{})}
 	served := make(chan error, 1)
 	go func() {
 		conn, err := ln.Accept()
@@ -96,7 +111,7 @@ func TestRelayCollectorEndToEnd(t *testing.T) {
 			served <- err
 			return
 		}
-		err = peer.Serve(coll, time.Millisecond)
+		err = peer.Serve(sampled, time.Millisecond)
 		peer.Close()
 		served <- err
 	}()
@@ -127,6 +142,13 @@ func TestRelayCollectorEndToEnd(t *testing.T) {
 	tel := CaptureTelemetry(childJ, 1, rec, &mpi.TransportStats{Network: "tcp"}, up.Drops())
 	if err := SendTelemetry(up, tel); err != nil {
 		t.Fatalf("SendTelemetry: %v", err)
+	}
+	// The child's whole run above takes microseconds, less than the
+	// parent may need to start Serve and land its first ping. Close ends
+	// the echoes, so hold the uplink open until one pong has arrived.
+	select {
+	case <-sampled.first:
+	case <-time.After(5 * time.Second):
 	}
 	up.Close()
 	if err := <-served; err != nil {

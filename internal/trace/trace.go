@@ -1,8 +1,7 @@
-// Package trace provides the instrumentation behind the paper's
-// performance figures: per-phase wall-clock timers, per-phase operation
-// counters, and an explicit alpha-beta communication cost model that
+// Package trace provides the cost model behind the paper's performance
+// figures: an explicit alpha-beta communication cost model that
 // converts measured per-rank work and traffic into modeled execution
-// times.
+// times. Phase names and wall-clock spans live in package obs.
 //
 // Why a model: the paper ran on Titan with up to 4,096 physical cores;
 // this reproduction runs all ranks as goroutines in one container, where
@@ -15,108 +14,9 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
-
-// Phase names used by the distributed algorithm, matching the paper's
-// Figure 8 breakdown.
-const (
-	PhaseFindBestModule = "FindBestModule"
-	PhaseBcastDelegates = "BroadcastDelegates"
-	PhaseSwapBoundary   = "SwapBoundaryInfo"
-	PhaseOther          = "Other"
-)
-
-// Algorithm 3 / Section 3.5 stage internals, split out of Other so the
-// journal and trace expose the module-refresh and merge cost structure.
-const (
-	// PhaseRefreshRound1 is the Module_Info partial exchange: local
-	// partial aggregation plus the alltoallv shipping partials to each
-	// module's home rank and the owner-side summation.
-	PhaseRefreshRound1 = "refresh-round1"
-	// PhaseRefreshRound2 is the authoritative reply: owners answer
-	// subscribers (isSent-deduplicated), local module tables rebuild,
-	// and the MDL aggregates allreduce.
-	PhaseRefreshRound2 = "refresh-round2"
-	// PhaseMergeShuffle is the distributed graph contraction: local arc
-	// contraction plus the alltoallv redistributing merged arcs to their
-	// new 1D owners.
-	PhaseMergeShuffle = "merge-shuffle"
-	// PhaseOuterIter marks an outer-iteration boundary in the journal: a
-	// zero-duration event whose counters carry the iteration's cumulative
-	// traffic delta (stage 1 is outer 0; each merged level adds one).
-	PhaseOuterIter = "outer-iteration"
-	// PhaseAsyncDrain is the exchange span of one asynchronous
-	// bounded-staleness epoch: staleness gate, opportunistic drain,
-	// complete-epoch rebuild, and the eager Module_Info partial send.
-	// Only emitted when Config.StalenessBound > 0.
-	PhaseAsyncDrain = "async-drain"
-)
-
-// Timer accumulates wall time and operation counts per named phase for
-// one rank. Not safe for concurrent use; each rank keeps its own.
-type Timer struct {
-	wall    map[string]time.Duration
-	ops     map[string]int64
-	started map[string]time.Time
-}
-
-// NewTimer returns an empty Timer.
-func NewTimer() *Timer {
-	return &Timer{
-		wall:    make(map[string]time.Duration),
-		ops:     make(map[string]int64),
-		started: make(map[string]time.Time),
-	}
-}
-
-// Start begins timing phase; pair with Stop. A re-entrant Start (the
-// phase is already running) restarts the span: the earlier, unfinished
-// span is discarded rather than double-counted.
-func (t *Timer) Start(phase string) { t.started[phase] = time.Now() }
-
-// Stop ends timing phase and accumulates the elapsed wall time. Stop
-// without a matching Start is a no-op.
-func (t *Timer) Stop(phase string) {
-	if s, ok := t.started[phase]; ok {
-		t.wall[phase] += time.Since(s)
-		delete(t.started, phase)
-	}
-}
-
-// Running reports whether phase has a Start without a matching Stop.
-func (t *Timer) Running(phase string) bool {
-	_, ok := t.started[phase]
-	return ok
-}
-
-// AddOps adds n operations (e.g. delta-L evaluations) to phase's counter.
-func (t *Timer) AddOps(phase string, n int64) { t.ops[phase] += n }
-
-// Wall returns the accumulated wall time of phase.
-func (t *Timer) Wall(phase string) time.Duration { return t.wall[phase] }
-
-// Ops returns the accumulated operation count of phase.
-func (t *Timer) Ops(phase string) int64 { return t.ops[phase] }
-
-// Phases returns all phase names seen, sorted.
-func (t *Timer) Phases() []string {
-	seen := make(map[string]bool)
-	for p := range t.wall {
-		seen[p] = true
-	}
-	for p := range t.ops {
-		seen[p] = true
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // CostModel converts measured counts into modeled times. The defaults
 // are calibrated to commodity-cluster constants: ~50 ns per delta-L
@@ -147,6 +47,11 @@ type RankCost struct {
 	Ops   int64 // counted compute operations
 	Msgs  int64 // messages sent (p2p + modeled collective steps)
 	Bytes int64 // bytes sent (p2p + modeled collective payloads)
+}
+
+// Add returns the componentwise sum of c and o.
+func (c RankCost) Add(o RankCost) RankCost {
+	return RankCost{Ops: c.Ops + o.Ops, Msgs: c.Msgs + o.Msgs, Bytes: c.Bytes + o.Bytes}
 }
 
 // Time returns the modeled time of this rank's cost under m.

@@ -6,82 +6,10 @@ import (
 	"time"
 )
 
-func TestTimerStartStopAccumulates(t *testing.T) {
-	tm := NewTimer()
-	tm.Start("a")
-	time.Sleep(time.Millisecond)
-	tm.Stop("a")
-	first := tm.Wall("a")
-	if first <= 0 {
-		t.Fatalf("Wall(a) = %v, want > 0", first)
-	}
-	tm.Start("a")
-	time.Sleep(time.Millisecond)
-	tm.Stop("a")
-	if tm.Wall("a") <= first {
-		t.Fatalf("Wall(a) did not accumulate: %v -> %v", first, tm.Wall("a"))
-	}
-}
-
-func TestTimerStopWithoutStartIsNoop(t *testing.T) {
-	tm := NewTimer()
-	tm.Stop("never")
-	if tm.Wall("never") != 0 {
-		t.Fatalf("Wall = %v, want 0", tm.Wall("never"))
-	}
-}
-
-func TestTimerReentrantStartRestartsSpan(t *testing.T) {
-	tm := NewTimer()
-	tm.Start("a")
-	time.Sleep(30 * time.Millisecond)
-	// Re-entrant Start discards the unfinished 30ms span and restarts.
-	tm.Start("a")
-	tm.Stop("a")
-	if w := tm.Wall("a"); w >= 15*time.Millisecond {
-		t.Fatalf("re-entrant Start double-counted: Wall = %v", w)
-	}
-	// The phase is fully stopped: another Stop stays a no-op.
-	before := tm.Wall("a")
-	tm.Stop("a")
-	if tm.Wall("a") != before {
-		t.Fatalf("Stop after Stop changed Wall: %v -> %v", before, tm.Wall("a"))
-	}
-}
-
-func TestTimerRunning(t *testing.T) {
-	tm := NewTimer()
-	if tm.Running("a") {
-		t.Fatal("phase running before Start")
-	}
-	tm.Start("a")
-	if !tm.Running("a") {
-		t.Fatal("phase not running after Start")
-	}
-	tm.Stop("a")
-	if tm.Running("a") {
-		t.Fatal("phase still running after Stop")
-	}
-}
-
-func TestTimerOps(t *testing.T) {
-	tm := NewTimer()
-	tm.AddOps("x", 10)
-	tm.AddOps("x", 5)
-	tm.AddOps("y", 1)
-	if tm.Ops("x") != 15 || tm.Ops("y") != 1 {
-		t.Fatalf("ops = %d, %d", tm.Ops("x"), tm.Ops("y"))
-	}
-}
-
-func TestTimerPhasesSorted(t *testing.T) {
-	tm := NewTimer()
-	tm.AddOps("zeta", 1)
-	tm.Start("alpha")
-	tm.Stop("alpha")
-	phases := tm.Phases()
-	if len(phases) != 2 || phases[0] != "alpha" || phases[1] != "zeta" {
-		t.Fatalf("Phases = %v", phases)
+func TestRankCostAdd(t *testing.T) {
+	got := RankCost{Ops: 1, Msgs: 2, Bytes: 3}.Add(RankCost{Ops: 10, Msgs: 20, Bytes: 30})
+	if want := (RankCost{Ops: 11, Msgs: 22, Bytes: 33}); got != want {
+		t.Fatalf("Add = %+v, want %+v", got, want)
 	}
 }
 
@@ -112,8 +40,8 @@ func TestStepTimeEmpty(t *testing.T) {
 
 func TestBreakdownTotal(t *testing.T) {
 	b := Breakdown{P: 4, Phases: map[string]time.Duration{
-		PhaseFindBestModule: 3 * time.Millisecond,
-		PhaseSwapBoundary:   time.Millisecond,
+		"FindBestModule":   3 * time.Millisecond,
+		"SwapBoundaryInfo": time.Millisecond,
 	}}
 	if b.Total() != 4*time.Millisecond {
 		t.Fatalf("Total = %v", b.Total())
@@ -122,10 +50,10 @@ func TestBreakdownTotal(t *testing.T) {
 
 func TestFormatBreakdowns(t *testing.T) {
 	bs := []Breakdown{
-		{P: 4, Phases: map[string]time.Duration{PhaseFindBestModule: time.Millisecond}},
-		{P: 8, Phases: map[string]time.Duration{PhaseFindBestModule: 500 * time.Microsecond}},
+		{P: 4, Phases: map[string]time.Duration{"FindBestModule": time.Millisecond}},
+		{P: 8, Phases: map[string]time.Duration{"FindBestModule": 500 * time.Microsecond}},
 	}
-	out := FormatBreakdowns(bs, []string{PhaseFindBestModule})
+	out := FormatBreakdowns(bs, []string{"FindBestModule"})
 	if !strings.Contains(out, "FindBestModule") {
 		t.Errorf("missing phase header:\n%s", out)
 	}
