@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dinfomap/internal/gen"
+	"dinfomap/internal/mapeq"
 	"dinfomap/internal/mpi"
 	"dinfomap/internal/obs"
 )
@@ -74,5 +75,45 @@ func TestPhaseSpanAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("phase span: %v allocs/op, want 0", avg)
+	}
+}
+
+// TestMultiPassSweepAllocFree pins a sweep that runs past pass 0: each
+// run restores the level's singleton state, so the sweep moves vertices
+// and its active-set passes (queueing, swapping and clearing the
+// frontier) run under the full pass budget, all without allocating.
+func TestMultiPassSweepAllocFree(t *testing.T) {
+	g, _ := gen.PlantedPartition(5, gen.PlantedConfig{
+		N: 600, NumComms: 12, AvgDegree: 8, Mixing: 0.2,
+	})
+	h := NewBenchLevel(g, 7)
+	lv := h.lv
+	comm := append([]int(nil), lv.comm...)
+	mods := append([]mapeq.Module(nil), lv.mods...)
+	modList := append(make([]int, 0, len(lv.mods)), lv.modList...)
+	modTracked := append([]bool(nil), lv.modTracked...)
+	agg := lv.agg
+	// Room for every module id, so trackMod's appends never grow it.
+	lv.modList = append(make([]int, 0, len(lv.mods)), lv.modList...)
+	frontierEvals := 0
+	h.s.observe = func(pass, _ int, _ evalOutcome) {
+		if pass > 0 {
+			frontierEvals++
+		}
+	}
+	run := func() {
+		copy(lv.comm, comm)
+		copy(lv.mods, mods)
+		lv.modList = append(lv.modList[:0], modList...)
+		copy(lv.modTracked, modTracked)
+		lv.agg = agg
+		lv.sweep(h.s, maxLocalPasses)
+	}
+	run()
+	if frontierEvals == 0 {
+		t.Fatal("sweep never reached an active-set pass")
+	}
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Fatalf("multi-pass sweep: %v allocs/op, want 0", avg)
 	}
 }

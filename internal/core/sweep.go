@@ -14,13 +14,25 @@ type sweepScratch struct {
 	// prep is the delta-L kernel prepared by the latest bestTarget for
 	// moving its vertex out of its current module.
 	prep mapeq.Prepared
+	// Active set of the passes after a sweep's first: front lists the
+	// eval indices the current pass evaluates, next collects the ones
+	// the following pass will, and queued marks membership in next.
+	front  []int
+	next   []int
+	queued []bool
+	// observe, when non-nil, sees every vertex evaluation of a pass.
+	observe func(pass, i int, r evalOutcome)
 }
 
 func (lv *level) newScratch() *sweepScratch {
+	n := len(lv.evalVerts)
 	s := &sweepScratch{
 		wTo:    make([]float64, lv.idSpace),
 		remote: make([]bool, lv.idSpace),
-		order:  make([]int, len(lv.evalVerts)),
+		order:  make([]int, n),
+		front:  make([]int, 0, n),
+		next:   make([]int, 0, n),
+		queued: make([]bool, n),
 	}
 	for i := range s.order {
 		s.order[i] = i
@@ -32,20 +44,6 @@ func (lv *level) newScratch() *sweepScratch {
 // FindBestModule phase.
 const maxLocalPasses = 24
 
-// sweep runs one FindBestModule phase (Algorithm 2, line 3): "local
-// clustering with duplicates". Low-degree vertices are moved repeatedly
-// — with immediate local updates, like the sequential inner loop —
-// until no local move improves the codelength, so every expensive
-// synchronization round does a full local optimization. Delegate moves
-// are only proposed (one evaluation pass after local quiescence), to be
-// decided globally in the BroadcastDelegates phase.
-//
-// The minimum-label heuristic (Section 3.4) suppresses the vertex
-// bouncing problem: when an owned singleton wants to join the singleton
-// module of a vertex on another rank, both sides may decide the
-// symmetric move in the same round and exchange places forever. The
-// move is therefore applied only when the target label is smaller than
-// the current one, making exactly one side win.
 // passBudget limits local passes for a given synchronized iteration:
 // early rounds run a single pass so boundary information propagates
 // before rank-local greediness can lock in cross-boundary mistakes;
@@ -72,6 +70,23 @@ func dampProb(iter int) float64 {
 	}
 }
 
+// sweep runs one FindBestModule phase (Algorithm 2, line 3): "local
+// clustering with duplicates". Low-degree vertices are moved repeatedly
+// — with immediate local updates, like the sequential inner loop —
+// until a pass moves nothing, so every expensive synchronization round
+// does a full local optimization. Pass 0 evaluates every vertex in a
+// fresh random order; each later pass evaluates only the active set the
+// previous pass queued (neighbours of movers and held-back vertices),
+// so a quiet pass costs O(active), not O(n). Delegate moves are only
+// proposed (one evaluation pass after local quiescence), to be decided
+// globally in the BroadcastDelegates phase.
+//
+// The minimum-label heuristic (Section 3.4) suppresses the vertex
+// bouncing problem: when an owned singleton wants to join the singleton
+// module of a vertex on another rank, both sides may decide the
+// symmetric move in the same round and exchange places forever. The
+// move is therefore applied only when the target label is smaller than
+// the current one, making exactly one side win.
 func (lv *level) sweep(s *sweepScratch, budget int) (moves, deferred int, hubCands []hubCandidate) {
 	if budget > maxLocalPasses {
 		budget = maxLocalPasses
@@ -79,21 +94,28 @@ func (lv *level) sweep(s *sweepScratch, budget int) (moves, deferred int, hubCan
 	for pass := 0; pass < budget; pass++ {
 		passMoves := 0
 		lv.deferred = 0
-		lv.rng.Shuffle(s.order)
-		for _, i := range s.order {
-			u := lv.evalVerts[i]
-			if lv.isHub != nil && lv.isHub[u] {
+		// Pass 0 visits every eval vertex, absorbing what changed since
+		// the last sweep (ghost swaps, delegate moves, refreshed stats);
+		// later passes visit only the active set the previous one queued.
+		visit := s.front
+		if pass == 0 {
+			visit = s.order
+		}
+		lv.rng.Shuffle(visit)
+		for _, i := range visit {
+			if lv.isHub != nil && lv.isHub[lv.evalVerts[i]] {
 				continue // delegates are handled after local quiescence
 			}
-			if ownerOf(u, lv.p) != lv.rank {
-				panicf("rank %d evaluating non-owned non-hub vertex %d", lv.rank, u)
-			}
-			if lv.moveVertex(s, i, u) {
+			if lv.evalVertex(s, pass, i) {
 				passMoves++
 			}
 		}
 		moves += passMoves
 		deferred = lv.deferred
+		s.front, s.next = s.next, s.front[:0]
+		for _, i := range s.front {
+			s.queued[i] = false
+		}
 		if passMoves == 0 {
 			break
 		}
@@ -111,6 +133,50 @@ func (lv *level) sweep(s *sweepScratch, budget int) (moves, deferred int, hubCan
 		lv.clearWTo(s)
 	}
 	return moves, deferred, s.cands
+}
+
+// evalOutcome is the result of one vertex evaluation in a sweep pass.
+type evalOutcome uint8
+
+const (
+	evalStay evalOutcome = iota // no improving move
+	evalMove                    // the best move was applied
+	evalHold                    // deferred by damping or blocked by the minimum-label rule
+)
+
+// evalVertex evaluates owned low-degree eval vertex index i and queues
+// what the next pass must re-evaluate: every local non-hub eval
+// neighbour of a mover, whose best target may have changed, and the
+// vertex itself when its move was held back. Returns whether it moved.
+func (lv *level) evalVertex(s *sweepScratch, pass, i int) bool {
+	u := lv.evalVerts[i]
+	if ownerOf(u, lv.p) != lv.rank {
+		panicf("rank %d evaluating non-owned non-hub vertex %d", lv.rank, u)
+	}
+	r := lv.moveVertex(s, i, u)
+	switch r {
+	case evalMove:
+		for j := lv.evalOff[i]; j < lv.evalOff[i+1]; j++ {
+			v := lv.adjV[j]
+			if k := lv.evalIndexOf[v]; k >= 0 && !(lv.isHub != nil && lv.isHub[v]) {
+				s.activate(int(k))
+			}
+		}
+	case evalHold:
+		s.activate(i)
+	}
+	if s.observe != nil {
+		s.observe(pass, i, r)
+	}
+	return r == evalMove
+}
+
+// activate queues eval index i for the next pass, once.
+func (s *sweepScratch) activate(i int) {
+	if !s.queued[i] {
+		s.queued[i] = true
+		s.next = append(s.next, i)
+	}
 }
 
 // bestTarget evaluates all neighbor modules of eval vertex index i
@@ -164,7 +230,7 @@ func (lv *level) clearWTo(s *sweepScratch) {
 }
 
 // moveVertex evaluates and, if allowed, applies the best move of owned
-// low-degree vertex u (eval index i). Returns whether a move happened.
+// low-degree vertex u (eval index i).
 //
 // Besides neighbor modules, an owned vertex may escape back to its own
 // founder module when that module is currently empty (this rank is the
@@ -173,7 +239,7 @@ func (lv *level) clearWTo(s *sweepScratch) {
 // simultaneous cross-rank joins evaluated against one-round-stale
 // statistics can over-merge, and without an escape move the
 // over-merging is irreversible once the graph contracts.
-func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
+func (lv *level) moveVertex(s *sweepScratch, i, u int) evalOutcome {
 	bestC, bestDelta, ok := lv.bestTarget(s, i, u)
 	from := lv.comm[u]
 	escape := false
@@ -187,7 +253,7 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	}
 	if !ok {
 		lv.clearWTo(s)
-		return false
+		return evalStay
 	}
 	// Minimum-label rule against symmetric singleton swaps across rank
 	// boundaries: the bounce arises when u and a remote vertex v, both
@@ -196,7 +262,7 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	if !escape && !lv.cfg.NoMinLabel && s.remote[bestC] && bestC >= from &&
 		lv.mods[bestC].Members == 1 && lv.mods[from].Members == 1 {
 		lv.clearWTo(s)
-		return false
+		return evalHold
 	}
 	// Damping of cross-boundary moves: ranks sharing identical module
 	// statistics tend to pile into the same attractive module in the
@@ -208,7 +274,7 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 		lv.rng.Float64() < lv.dampP {
 		lv.deferred++
 		lv.clearWTo(s)
-		return false
+		return evalHold
 	}
 	mv := mapeq.Move{
 		PU:      lv.visit[u],
@@ -224,5 +290,5 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) bool {
 	lv.trackMod(from)
 	lv.trackMod(bestC)
 	lv.comm[u] = bestC
-	return true
+	return evalMove
 }

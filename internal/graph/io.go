@@ -10,14 +10,26 @@ import (
 	"strings"
 )
 
+// MaxVertices caps the vertex count an edge list may imply, through a
+// vertex id or a "# vertices=N" header: 2^24 = 16,777,216, 160 times the
+// largest registry stand-in (uk-2007, 105k vertices) and far inside the
+// int32 range the clustering core indexes vertices with. Build allocates
+// about 32 bytes per vertex, so the cap bounds what a one-line file
+// naming a huge id can make the reader allocate.
+const MaxVertices = 1 << 24
+
 // ReadEdgeList parses a whitespace-separated edge list: one edge per line
 // as "u v" or "u v w". Lines beginning with '#' or '%' are comments.
-// Vertex IDs must be non-negative integers; the vertex count is
+// Vertex IDs must be integers in [0, MaxVertices); the vertex count is
 // 1 + the maximum ID seen, or the value of a "# vertices=N ..." header
 // comment (which WriteEdgeList emits) when that is larger — without it,
-// trailing isolated vertices would be lost in the round trip. Parallel
-// edges are merged (weights summed).
-func ReadEdgeList(r io.Reader) (*Graph, error) {
+// trailing isolated vertices would be lost in the round trip. A header
+// declaring more than MaxVertices is an error. Parallel edges are merged
+// (weights summed); merged weights must keep the total weight finite.
+func ReadEdgeList(r io.Reader) (*Graph, error) { return readEdgeList(r, MaxVertices) }
+
+// readEdgeList is ReadEdgeList with the vertex cap as a parameter.
+func readEdgeList(r io.Reader, maxVertices int) (*Graph, error) {
 	b := NewBuilder(0)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -29,9 +41,14 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if line == "" || line[0] == '#' || line[0] == '%' {
 			for _, field := range strings.Fields(line) {
 				if v, ok := strings.CutPrefix(field, "vertices="); ok {
-					if n, err := strconv.Atoi(v); err == nil && n > declaredN {
-						declaredN = n
+					n, err := strconv.Atoi(v)
+					if err != nil || n <= declaredN {
+						continue
 					}
+					if n > maxVertices {
+						return nil, fmt.Errorf("graph: line %d: declared %d vertices, more than the cap of %d", lineno, n, maxVertices)
+					}
+					declaredN = n
 				}
 			}
 			continue
@@ -50,6 +67,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("graph: line %d: negative vertex id", lineno)
+		}
+		if u >= maxVertices || v >= maxVertices {
+			return nil, fmt.Errorf("graph: line %d: vertex id %d out of range [0, %d)", lineno, max(u, v), maxVertices)
 		}
 		w := 1.0
 		if len(fields) >= 3 {
@@ -72,7 +92,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if declaredN > 0 {
 		b.EnsureVertices(declaredN)
 	}
-	return b.Build(), nil
+	g := b.Build()
+	if math.IsInf(g.TotalWeight(), 0) {
+		return nil, fmt.Errorf("graph: total edge weight overflows")
+	}
+	return g, nil
 }
 
 // WriteEdgeList writes g as a text edge list (one "u v" or "u v w" line
