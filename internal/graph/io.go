@@ -11,12 +11,14 @@ import (
 )
 
 // MaxVertices caps the vertex count an edge list may imply, through a
-// vertex id or a "# vertices=N" header: 2^24 = 16,777,216, 160 times the
-// largest registry stand-in (uk-2007, 105k vertices) and far inside the
-// int32 range the clustering core indexes vertices with. Build allocates
-// about 32 bytes per vertex, so the cap bounds what a one-line file
-// naming a huge id can make the reader allocate.
-const MaxVertices = 1 << 24
+// vertex id or a "# vertices=N" header: 2^27 = 134,217,728. That admits
+// every graph of the paper at full size (the largest, webbase-2001, has
+// 118M vertices) and stays inside the int32 range the clustering core
+// indexes vertices with. Reading allocates about 80 bytes per vertex, so
+// the cap also bounds what a one-line file naming a huge id can make
+// the reader allocate (about 10 GB, the size a full-scale paper graph
+// needs anyway) where an unbounded id runs the process out of memory.
+const MaxVertices = 1 << 27
 
 // ReadEdgeList parses a whitespace-separated edge list: one edge per line
 // as "u v" or "u v w". Lines beginning with '#' or '%' are comments.

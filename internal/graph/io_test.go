@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -85,8 +86,8 @@ func TestReadEdgeListHostileVertexCounts(t *testing.T) {
 		"max-int header":    {"0 1\n# vertices=9223372036854775807\n", "line 2"},
 		"max-int vertex id": {"0 9223372036854775807\n", "line 1"},
 		"vertex id 10^12":   {"0 1000000000000\n", "line 1"},
-		"header past cap":   {"# vertices=16777217\n0 1\n", "line 1"},
-		"id at cap":         {"0 1\n16777216 0\n", "line 2"},
+		"header past cap":   {fmt.Sprintf("# vertices=%d\n0 1\n", MaxVertices+1), "line 1"},
+		"id at cap":         {fmt.Sprintf("0 1\n%d 0\n", MaxVertices), "line 2"},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
