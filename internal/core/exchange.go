@@ -148,7 +148,7 @@ func (lv *level) broadcastDelegates(cands []hubCandidate) int {
 		}
 		pr := mapeq.Prepare(lv.refAgg, lv.hubFrom[pos],
 			mapeq.Move{PU: lv.visit[h], ExitU: lv.exitP[h], WToFrom: ds.sumFrom[i]})
-		if pr.Delta(ds.target[pos], ds.sumTo[i]) < -1e-15 {
+		if d, exact := pr.DeltaBelow(ds.target[pos], ds.sumTo[i], 0); exact && d < -1e-15 {
 			lv.comm[h] = hc.Target
 			moves++
 		}

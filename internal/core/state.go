@@ -36,9 +36,15 @@ type level struct {
 	evalOff   []int
 	adjV      []int
 	adjW      []float64
+	// escapeTerm[i] is mapeq.SingletonTerm of the module evalVerts[i]
+	// would form alone, the target of its escape move.
+	escapeTerm []float64
 
 	// isHub marks delegated vertices; nil at delegate-free levels.
 	isHub []bool
+	// remoteV marks the visible vertices a move toward whose module
+	// crosses a rank boundary: non-owned ones and hubs.
+	remoteV []bool
 	// hubs lists delegated vertex ids (identical on all ranks);
 	// hubIndex maps a vertex id to its position in hubs (-1 = not a
 	// hub), and hubFrom[i] snapshots, at refresh time, the stats of
@@ -228,6 +234,16 @@ func (lv *level) initLocalState() {
 		if seen[v] {
 			lv.visList = append(lv.visList, v)
 		}
+	}
+
+	lv.remoteV = make([]bool, n)
+	for _, v := range lv.visList {
+		lv.remoteV[v] = ownerOf(v, lv.p) != lv.rank || (lv.isHub != nil && lv.isHub[v])
+	}
+
+	lv.escapeTerm = make([]float64, len(lv.evalVerts))
+	for i, u := range lv.evalVerts {
+		lv.escapeTerm[i] = mapeq.SingletonTerm(lv.visit[u], lv.exitP[u])
 	}
 
 	lv.comm = make([]int, n)

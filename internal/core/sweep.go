@@ -197,7 +197,7 @@ func (lv *level) bestTarget(s *sweepScratch, i, u int) (target int, delta float6
 			s.remote[cv] = false
 		}
 		s.wTo[cv] += lv.adjW[j] * lv.inv2W
-		if ownerOf(v, lv.p) != lv.rank || (lv.isHub != nil && lv.isHub[v]) {
+		if lv.remoteV[v] {
 			s.remote[cv] = true
 		}
 	}
@@ -213,7 +213,7 @@ func (lv *level) bestTarget(s *sweepScratch, i, u int) (target int, delta float6
 			continue
 		}
 		lv.deltaEvals++
-		if d := s.prep.Delta(lv.mods[cv], s.wTo[cv]); d < best-1e-15 {
+		if d, exact := s.prep.DeltaBelow(lv.mods[cv], s.wTo[cv], best); exact && d < best-1e-15 {
 			best = d
 			bestC = cv
 		}
@@ -245,7 +245,7 @@ func (lv *level) moveVertex(s *sweepScratch, i, u int) evalOutcome {
 	escape := false
 	if from != u && lv.ownedStats[u/lv.p].Members == 0 && lv.mods[u].Members == 0 {
 		lv.deltaEvals++
-		if d := s.prep.Delta(mapeq.Module{}, 0); d < bestDelta-1e-15 {
+		if d, exact := s.prep.EscapeBelow(lv.escapeTerm[i], bestDelta); exact && d < bestDelta-1e-15 {
 			bestC = u
 			ok = true
 			escape = true

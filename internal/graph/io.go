@@ -8,6 +8,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // MaxVertices caps the vertex count an edge list may imply, through a
@@ -37,33 +38,46 @@ func readEdgeList(r io.Reader, maxVertices int) (*Graph, error) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineno := 0
 	declaredN := 0
+	var fields [3][]byte
 	for sc.Scan() {
 		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
-			for _, field := range strings.Fields(line) {
-				if v, ok := strings.CutPrefix(field, "vertices="); ok {
-					n, err := strconv.Atoi(v)
-					if err != nil || n <= declaredN {
-						continue
+		raw := sc.Bytes()
+		nf, ascii := asciiFields(raw, &fields)
+		if !ascii || nf == 0 || fields[0][0] == '#' || fields[0][0] == '%' {
+			// Comments, blank lines and lines with a non-ASCII byte take
+			// the string path, which splits at Unicode spaces.
+			line := strings.TrimSpace(string(raw))
+			if line == "" || line[0] == '#' || line[0] == '%' {
+				for _, field := range strings.Fields(line) {
+					if v, ok := strings.CutPrefix(field, "vertices="); ok {
+						n, err := strconv.Atoi(v)
+						if err != nil || n <= declaredN {
+							continue
+						}
+						if n > maxVertices {
+							return nil, fmt.Errorf("graph: line %d: declared %d vertices, more than the cap of %d", lineno, n, maxVertices)
+						}
+						declaredN = n
 					}
-					if n > maxVertices {
-						return nil, fmt.Errorf("graph: line %d: declared %d vertices, more than the cap of %d", lineno, n, maxVertices)
-					}
-					declaredN = n
 				}
+				continue
 			}
-			continue
+			nf = 0
+			for _, field := range strings.Fields(line) {
+				if nf < len(fields) {
+					fields[nf] = []byte(field)
+				}
+				nf++
+			}
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: want 2 or 3 fields, got %q", lineno, line)
+		if nf < 2 {
+			return nil, fmt.Errorf("graph: line %d: want 2 or 3 fields, got %q", lineno, strings.TrimSpace(string(raw)))
 		}
-		u, err := strconv.Atoi(fields[0])
+		u, err := strconv.Atoi(string(fields[0]))
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad source %q: %v", lineno, fields[0], err)
 		}
-		v, err := strconv.Atoi(fields[1])
+		v, err := strconv.Atoi(string(fields[1]))
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad target %q: %v", lineno, fields[1], err)
 		}
@@ -74,8 +88,8 @@ func readEdgeList(r io.Reader, maxVertices int) (*Graph, error) {
 			return nil, fmt.Errorf("graph: line %d: vertex id %d out of range [0, %d)", lineno, max(u, v), maxVertices)
 		}
 		w := 1.0
-		if len(fields) >= 3 {
-			w, err = strconv.ParseFloat(fields[2], 64)
+		if nf >= 3 {
+			w, err = strconv.ParseFloat(string(fields[2]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight %q: %v", lineno, fields[2], err)
 			}
@@ -99,6 +113,37 @@ func readEdgeList(r io.Reader, maxVertices int) (*Graph, error) {
 		return nil, fmt.Errorf("graph: total edge weight overflows")
 	}
 	return g, nil
+}
+
+// asciiFields splits line at ASCII whitespace, as strings.Fields does,
+// storing the first len(f) fields in f without allocating, and returns
+// the number of fields. ascii is false, and nothing is split, when line
+// holds a byte >= 0x80: there only strings.Fields knows the spaces.
+func asciiFields(line []byte, f *[3][]byte) (n int, ascii bool) {
+	start := -1
+	for i, c := range line {
+		if c >= utf8.RuneSelf {
+			return 0, false
+		}
+		if c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r' {
+			if start >= 0 {
+				if n < len(f) {
+					f[n] = line[start:i]
+				}
+				n++
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		if n < len(f) {
+			f[n] = line[start:]
+		}
+		n++
+	}
+	return n, true
 }
 
 // WriteEdgeList writes g as a text edge list (one "u v" or "u v w" line

@@ -136,6 +136,69 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
+// Lines with a non-ASCII byte keep strings.Fields semantics: Unicode
+// spaces separate fields, as they did before the byte-level parser.
+func TestReadEdgeListUnicodeSpaces(t *testing.T) {
+	g, err := ReadEdgeList(strings.NewReader("0\u00a01\n1\u2003 2\u30002.5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != 2 || g.EdgeWeight(0, 1) != 1 || g.EdgeWeight(1, 2) != 2.5 {
+		t.Fatalf("got %d edges, w(0,1) = %v, w(1,2) = %v; want 2, 1, 2.5",
+			g.NumEdges(), g.EdgeWeight(0, 1), g.EdgeWeight(1, 2))
+	}
+	if _, err := ReadEdgeList(strings.NewReader("0\u00a0x\n")); err == nil ||
+		!strings.Contains(err.Error(), `bad target "x"`) {
+		t.Fatalf("error = %v, want a bad target naming \"x\"", err)
+	}
+}
+
+// asciiFields splits ASCII lines exactly as strings.Fields does and
+// declines any line with a byte >= 0x80.
+func TestASCIIFieldsMatchesStringsFields(t *testing.T) {
+	for _, line := range []string{
+		"", " ", "0 1", "  0\t1  ", "0\v1\f2\r", "\t\t7", "1 2 3 4 5", "a  b\n", "x",
+	} {
+		var f [3][]byte
+		n, ascii := asciiFields([]byte(line), &f)
+		want := strings.Fields(line)
+		if !ascii || n != len(want) {
+			t.Fatalf("%q: %d fields (ascii %v), want %d", line, n, ascii, len(want))
+		}
+		for i := 0; i < min(n, len(f)); i++ {
+			if string(f[i]) != want[i] {
+				t.Fatalf("%q: field %d = %q, want %q", line, i, f[i], want[i])
+			}
+		}
+	}
+	var f [3][]byte
+	if _, ascii := asciiFields([]byte("0\u00a01"), &f); ascii {
+		t.Fatal("a line with a non-ASCII byte was split")
+	}
+}
+
+// FuzzReadBinary checks that no input panics ReadBinary and that any
+// input it accepts survives WriteBinary then ReadBinary unchanged.
+func FuzzReadBinary(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		g, err := ReadBinary(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadBinary(&buf)
+		if err != nil {
+			t.Fatalf("accepted %x, but its written form fails: %v", in, err)
+		}
+		if !graphsEqual(g, g2) {
+			t.Fatalf("accepted %x, but its written form reads as a different graph", in)
+		}
+	})
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := FromEdges(5, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}})
 	var buf bytes.Buffer
@@ -306,5 +369,25 @@ func TestEdgeListPreservesIsolatedVertices(t *testing.T) {
 	}
 	if g2.NumVertices() != 5 {
 		t.Fatalf("round trip lost isolated vertices: n=%d, want 5", g2.NumVertices())
+	}
+}
+
+// Edge lines are parsed without a per-line allocation. What remains is
+// the builder's, about one adjacency array per vertex: 1000 here, where
+// a string and a field slice per line would add 8000.
+func TestReadEdgeListLinesAllocFree(t *testing.T) {
+	var in strings.Builder
+	in.WriteString("# vertices=1000\n")
+	for i := 0; i < 4000; i++ {
+		fmt.Fprintf(&in, "%d\t%d %g\n", i%1000, (i*7+1)%1000, 1+float64(i%5)/4)
+	}
+	text := in.String()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadEdgeList(strings.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1500 {
+		t.Errorf("ReadEdgeList made %v allocations for 4000 edge lines over 1000 vertices", allocs)
 	}
 }

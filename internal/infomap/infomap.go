@@ -193,7 +193,7 @@ func optimizeLevel(g *graph.Graph, rng *gen.RNG, maxSweeps int, vertexTerm float
 					continue
 				}
 				out.deltaEvals++
-				if d := pr.Delta(mods[c], wTo[c]); d < best-1e-15 {
+				if d, exact := pr.DeltaBelow(mods[c], wTo[c], best); exact && d < best-1e-15 {
 					best = d
 					bestC = c
 				}

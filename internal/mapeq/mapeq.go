@@ -164,8 +164,12 @@ type Aggregates struct {
 // L returns the two-level map equation codelength in bits (Eq. 3):
 //
 //	L = plogp(Q) - 2*sum plogp(q_m) - sum plogp(p_a) + sum plogp(q_m+p_m)
-func (a Aggregates) L() float64 {
-	return PlogP(a.QTotal) - 2*a.SumQLogQ - a.SumPlogpP + a.SumQPLogQP
+func (a Aggregates) L() float64 { return a.lFrom(PlogP(a.QTotal)) }
+
+// lFrom is L given plogQ = PlogP(a.QTotal), for callers that need that
+// term too.
+func (a Aggregates) lFrom(plogQ float64) float64 {
+	return plogQ - 2*a.SumQLogQ - a.SumPlogpP + a.SumQPLogQP
 }
 
 // AggregateModules builds Aggregates from a module table. sumPlogpP is
@@ -211,7 +215,14 @@ func leave(from Module, mv Move) Module {
 // enter returns to after a vertex with visit probability pu, singleton
 // exit exitU and normalized link weight wToTo into to has joined it.
 func enter(to Module, pu, exitU, wToTo float64) Module {
-	return NewModule(clamp(to.SumPr+pu), clamp(to.ExitPr+exitU-2*wToTo), to.Members+1)
+	sumPr, exitPr := entered(to, pu, exitU, wToTo)
+	return NewModule(sumPr, exitPr, to.Members+1)
+}
+
+// entered returns the flow statistics of enter's module without its log
+// terms.
+func entered(to Module, pu, exitU, wToTo float64) (sumPr, exitPr float64) {
+	return clamp(to.SumPr + pu), clamp(to.ExitPr + exitU - 2*wToTo)
 }
 
 // clamp zeroes tiny negative residue of flow subtractions.
@@ -239,27 +250,113 @@ func step(a Aggregates, from, nf, to, nt Module) Aggregates {
 // Prepared is the candidate-invariant part of the delta-L of moving one
 // vertex out of its module: the current codelength and the module it
 // leaves behind, both computed once per vertex. Delta then evaluates
-// each candidate target with three logarithms.
+// each candidate target with three logarithms; DeltaBelow first tries
+// to rule the candidate out with none.
 type Prepared struct {
 	agg       Aggregates
 	from, nf  Module // the vertex's module, before and after it leaves
 	pu, exitU float64
 	l0        float64 // agg.L()
+
+	// leaveL is the leave-side part of delta-L, exact from the cached
+	// terms: -2*(plogp(q'_from) - plogp(q_from)) + plogp(q'_from+p'_from)
+	// - plogp(q_from+p_from). slopeQ is plogp'(Q) = log2(Q) + 1/ln2,
+	// valid when Q > 0.
+	leaveL float64
+	slopeQ float64
 }
 
 // Prepare hoists the parts of the delta-L of moving the vertex of mv
 // out of from that do not depend on the target module. mv.WToTo is
 // ignored; each candidate passes its own weight to Delta.
 func Prepare(a Aggregates, from Module, mv Move) Prepared {
-	return Prepared{agg: a, from: from, nf: leave(from, mv), pu: mv.PU, exitU: mv.ExitU, l0: a.L()}
+	nf := leave(from, mv)
+	plogQ := PlogP(a.QTotal)
+	p := Prepared{agg: a, from: from, nf: nf, pu: mv.PU, exitU: mv.ExitU, l0: a.lFrom(plogQ),
+		leaveL: -2*(nf.plogQ-from.plogQ) + (nf.plogQP - from.plogQP)}
+	if a.QTotal > 0 {
+		p.slopeQ = plogQ/a.QTotal + math.Log2E
+	}
+	return p
 }
 
 // Delta returns the codelength change (bits) of moving the prepared
 // vertex into to, whose members it links to with normalized weight
 // wToTo. Negative is an improvement.
 func (p *Prepared) Delta(to Module, wToTo float64) float64 {
-	nt := enter(to, p.pu, p.exitU, wToTo)
+	return p.delta(to, enter(to, p.pu, p.exitU, wToTo))
+}
+
+// delta returns the codelength change of replacing from and to by the
+// prepared nf and nt.
+func (p *Prepared) delta(to, nt Module) float64 {
 	return step(p.agg, p.from, p.nf, to, nt).L() - p.l0
+}
+
+// pruneMargin is how far DeltaBelow's lower bound must exceed its limit
+// before it rules a candidate out. It covers the rounding of the bound
+// and of Delta itself, whose terms are codelength sums of 10 to 30 bits
+// (a few ulps each, about 1e-14 in all), with two orders to spare.
+const pruneMargin = 1e-12
+
+// DeltaBelow returns Delta(to, wToTo) and true, unless a lower bound on
+// it exceeds limit + pruneMargin: then it returns false without
+// computing a logarithm. A caller that keeps a running best and takes a
+// candidate only when its delta is below best - 1e-15 can pass best as
+// limit: a ruled-out candidate is one it would have rejected anyway.
+func (p *Prepared) DeltaBelow(to Module, wToTo, limit float64) (float64, bool) {
+	sumPr, exitPr := entered(to, p.pu, p.exitU, wToTo)
+	if lb, ok := p.lowerBound(to, sumPr, exitPr); ok && lb > limit+pruneMargin {
+		return 0, false
+	}
+	return p.delta(to, NewModule(sumPr, exitPr, to.Members+1)), true
+}
+
+// SingletonTerm returns the module terms -2*plogp(q) + plogp(q+p) of
+// the module a vertex with visit probability pu and singleton exit
+// exitU forms alone: the target of its escape into an empty module. A
+// caller computes it once per vertex for EscapeBelow.
+func SingletonTerm(pu, exitU float64) float64 {
+	s := enter(Module{}, pu, exitU, 0)
+	return -2*s.plogQ + s.plogQP
+}
+
+// EscapeBelow is DeltaBelow for the move into an empty module, which
+// the vertex then forms alone; term must be SingletonTerm(pu, exitU) of
+// the prepared vertex. With the new module's terms given, the bound
+// needs only the tangent of plogp(Q'), which is tight. The delta it
+// returns is Delta(Module{}, 0).
+func (p *Prepared) EscapeBelow(term, limit float64) (float64, bool) {
+	_, exitPr := entered(Module{}, p.pu, p.exitU, 0)
+	nQ := p.agg.QTotal + (p.nf.ExitPr + exitPr - p.from.ExitPr)
+	if p.agg.QTotal > 0 && nQ > 0 && p.leaveL+p.slopeQ*(nQ-p.agg.QTotal)+term > limit+pruneMargin {
+		return 0, false
+	}
+	return p.Delta(Module{}, 0), true
+}
+
+// lowerBound returns a lower bound on the delta-L of moving the prepared
+// vertex into to, which becomes a module with statistics sumPr and
+// exitPr, using no logarithm (DESIGN.md §3.1). plogp is convex, its
+// second derivative 1/(x ln2), so a change of plogp is bounded by its
+// tangent at the old value plus a curvature term: from below for
+// plogp(Q') (tangent alone) and plogp(q'+p') (plus the least curvature
+// between the old and new value), from above for plogp(q'), which
+// enters with -2 (plus the largest curvature). ok is false for
+// degenerate modules, where Q, Q', q, q', q+p or q'+p' is not positive
+// and a clamp or the 0*log(0) convention applies.
+func (p *Prepared) lowerBound(to Module, sumPr, exitPr float64) (lb float64, ok bool) {
+	q, y, ny := to.ExitPr, to.ExitPr+to.SumPr, exitPr+sumPr
+	nQ := p.agg.QTotal + (p.nf.ExitPr + exitPr - p.from.ExitPr - q)
+	if !(p.agg.QTotal > 0 && nQ > 0 && q > 0 && exitPr > 0 && y > 0 && ny > 0) {
+		return 0, false
+	}
+	dq := exitPr - q
+	slopeTo := to.plogQ/q + math.Log2E
+	slopeToP := to.plogQP/y + math.Log2E
+	dy := ny - y
+	return p.leaveL + p.slopeQ*(nQ-p.agg.QTotal) - 2*slopeTo*dq -
+		dq*dq*math.Log2E/min(q, exitPr) + slopeToP*dy + dy*dy*(0.5*math.Log2E)/max(y, ny), true
 }
 
 // ApplyMove applies mv to a vertex currently in from, moving it to to,

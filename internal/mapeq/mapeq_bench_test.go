@@ -46,6 +46,41 @@ func BenchmarkDeltaL(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchCandidates), "ns/candidate")
 }
 
+// BenchmarkDeltaBelow measures the pruned evaluation as the sweep runs
+// it: one Prepare per vertex, then DeltaBelow per candidate against the
+// running best. The candidates are BenchmarkDeltaL's, every second one
+// linked with a tenth of the weight; pruned/candidate reports the share
+// the bound rules out (most, as in a sweep).
+func BenchmarkDeltaBelow(b *testing.B) {
+	agg, from, to, mv := benchSetup()
+	tos := make([]Module, benchCandidates)
+	ws := make([]float64, benchCandidates)
+	for k := range tos {
+		tos[k] = NewModule(to.SumPr*float64(k+1)/benchCandidates, to.ExitPr, to.Members+k)
+		ws[k] = mv.WToTo
+		if k%2 == 1 {
+			ws[k] /= 10
+		}
+	}
+	pruned := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pr := Prepare(agg, from, mv)
+		best := 0.0
+		for k := range tos {
+			d, ok := pr.DeltaBelow(tos[k], ws[k], best)
+			if !ok {
+				pruned++
+			} else if d < best-1e-15 {
+				best = d
+			}
+		}
+		benchSink += best
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchCandidates), "ns/candidate")
+	b.ReportMetric(float64(pruned)/float64(b.N*benchCandidates), "pruned/candidate")
+}
+
 func BenchmarkApplyMove(b *testing.B) {
 	agg, from, to, mv := benchSetup()
 	b.ReportAllocs()

@@ -43,6 +43,10 @@ const frameHeader = 24
 // or hostile stream and poisons the world instead of allocating.
 const maxFrame = 1 << 31
 
+// frameChunk is the most payload readFrame reads, and allocates, ahead
+// of the bytes that have arrived.
+const frameChunk = 1 << 20
+
 // Control tags live in the negative tag space. Barrier tokens and
 // collective frames are sequence-numbered (SPMD order makes the
 // sequences identical on every rank), so early arrivals from a rank
@@ -109,6 +113,33 @@ func (pc *peerConn) writeFrame(tag int, sentAt time.Duration, payload []byte) er
 	copy(b[frameHeader:], payload)
 	_, err := pc.c.Write(b)
 	return err
+}
+
+// readFrame reads one frame from r, using hdr (frameHeader bytes) as
+// header scratch, into a fresh payload buffer. A declared length above
+// limit is an error before any payload is read, and the buffer grows
+// with the payload, one read of at most frameChunk at a time, so what
+// a frame allocates follows the bytes that arrived, not the length its
+// header claims.
+func readFrame(r io.Reader, hdr []byte, limit uint64) (tag int, sentAt time.Duration, payload []byte, err error) {
+	if _, err := io.ReadFull(r, hdr[:frameHeader]); err != nil {
+		return 0, 0, nil, err
+	}
+	n := binary.LittleEndian.Uint64(hdr[0:])
+	tag = int(int64(binary.LittleEndian.Uint64(hdr[8:])))
+	sentAt = time.Duration(int64(binary.LittleEndian.Uint64(hdr[16:])))
+	if n > limit {
+		return tag, sentAt, nil, fmt.Errorf("frame of %d bytes exceeds limit", n)
+	}
+	payload = make([]byte, 0, min(n, frameChunk))
+	for uint64(len(payload)) < n {
+		m := len(payload)
+		payload = append(payload, make([]byte, min(n-uint64(m), frameChunk))...)
+		if _, err := io.ReadFull(r, payload[m:]); err != nil {
+			return tag, sentAt, nil, err
+		}
+	}
+	return tag, sentAt, payload, nil
 }
 
 // ProcTransport is the multi-process Transport: this process's endpoint
@@ -423,25 +454,14 @@ func (t *ProcTransport) reader(peer int, pc *peerConn) {
 	defer t.readers.Done()
 	hdr := make([]byte, frameHeader)
 	for {
-		if _, err := io.ReadFull(pc.c, hdr); err != nil {
-			t.readFailed(peer, err)
-			return
-		}
-		n := binary.LittleEndian.Uint64(hdr[0:])
-		tag := int(int64(binary.LittleEndian.Uint64(hdr[8:])))
-		sentAt := time.Duration(int64(binary.LittleEndian.Uint64(hdr[16:])))
-		if n > maxFrame {
-			t.readFailed(peer, fmt.Errorf("frame of %d bytes exceeds limit", n))
-			return
-		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(pc.c, data); err != nil {
+		tag, sentAt, data, err := readFrame(pc.c, hdr, maxFrame)
+		if err != nil {
 			t.readFailed(peer, err)
 			return
 		}
 		pcnt := &t.tstats.peers[peer]
 		pcnt.framesRecv.Add(1)
-		pcnt.bytesRecv.Add(int64(frameHeader) + int64(n))
+		pcnt.bytesRecv.Add(int64(frameHeader) + int64(len(data)))
 		if tag == tagPoison {
 			t.tstats.poisonsRecv.Add(1)
 			t.fail.poisonWith(fmt.Errorf("poisoned by rank %d: %s", peer, data))

@@ -17,9 +17,7 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -241,16 +239,10 @@ func (u *Uplink) reader() {
 	defer close(u.readerDone)
 	hdr := make([]byte, frameHeader)
 	for {
-		if _, err := io.ReadFull(u.pc.c, hdr); err != nil {
-			return
-		}
-		n := binary.LittleEndian.Uint64(hdr[0:])
-		tag := int(int64(binary.LittleEndian.Uint64(hdr[8:])))
-		if n > 4096 {
-			return // not a sane control frame; stop echoing
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(u.pc.c, payload); err != nil {
+		// A frame over 4096 bytes is not a sane control frame: stop
+		// echoing.
+		tag, _, payload, err := readFrame(u.pc.c, hdr, 4096)
+		if err != nil {
 			return
 		}
 		if tag != uplinkTagPing || u.dead.Load() {
@@ -359,17 +351,8 @@ func (p *UplinkPeer) Serve(h UplinkHandler, pingEvery time.Duration) error {
 
 	hdr := make([]byte, frameHeader)
 	for {
-		if _, err := io.ReadFull(p.pc.c, hdr); err != nil {
-			return fmt.Errorf("mpi: uplink rank %d: %w", p.rank, err)
-		}
-		n := binary.LittleEndian.Uint64(hdr[0:])
-		tag := int(int64(binary.LittleEndian.Uint64(hdr[8:])))
-		sentAt := time.Duration(int64(binary.LittleEndian.Uint64(hdr[16:])))
-		if n > maxFrame {
-			return fmt.Errorf("mpi: uplink rank %d: frame of %d bytes exceeds limit", p.rank, n)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(p.pc.c, payload); err != nil {
+		tag, sentAt, payload, err := readFrame(p.pc.c, hdr, maxFrame)
+		if err != nil {
 			return fmt.Errorf("mpi: uplink rank %d: %w", p.rank, err)
 		}
 		switch tag {

@@ -225,7 +225,7 @@ func sweepShard(g *graph.Graph, flow *mapeq.VertexFlow, st *sharedState,
 			if c == from {
 				continue
 			}
-			if d := pr.Delta(st.readMod(c), w); d < best-1e-15 {
+			if d, exact := pr.DeltaBelow(st.readMod(c), w, best); exact && d < best-1e-15 {
 				best = d
 				bestC = c
 			}
